@@ -93,21 +93,27 @@ def top_tangent_curvature(A, rows: np.ndarray) -> float:
     """Top eigenvalue of the Riemannian Hessian P 2(A - Diag y) P on the sphere product.
 
     Built directly from the matrix (dense or scipy sparse) and solved by
-    ARPACK Lanczos; the normal directions contribute eigenvalue 0.
+    ARPACK Lanczos.  The operator is shifted by ``s >= ||Hess||`` on tangent
+    directions and sent to ``-s`` on normal ones, so the normal space's
+    zeros do not crowd the top and ARPACK's relative tolerance becomes an
+    absolute one of about ``1e-6 s``; a top eigenvalue near zero, common at
+    a certified point, otherwise converges slowly.
     """
     n, k = rows.shape
     y = multipliers(A, rows)
+    s = 2.0 * (float(abs(A).sum(axis=0).max()) + float(np.abs(y).max()))
 
     def project(v):
         return v - np.einsum("ij,ij->i", rows, v)[:, None] * rows
 
     def apply(x):
-        u = project(np.asarray(x).reshape(n, k))
-        return project(2.0 * (A @ u - y[:, None] * u)).ravel()
+        x = np.asarray(x).reshape(n, k)
+        u = project(x)
+        return (project(2.0 * (A @ u - y[:, None] * u)) + s * u - s * (x - u)).ravel()
 
     op = LinearOperator((n * k, n * k), matvec=apply, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n * k)
-    return float(eigsh(op, k=1, which="LA", tol=1e-6, v0=v0, return_eigenvectors=False)[0])
+    return float(eigsh(op, k=1, which="LA", tol=1e-6, v0=v0, return_eigenvectors=False)[0]) - s
 
 
 # -- checks ----------------------------------------------------------------------------

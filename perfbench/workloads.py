@@ -229,7 +229,7 @@ class StiefelTrustRegion(Workload):
     d = 3
     # the cold-start step count varies most between instances, so a round
     # holds more of them
-    round_size = 8
+    round_size = 10
     k = 9
 
     def setup(self, seed: int, i: int, workdir: str) -> dict:
