@@ -173,6 +173,13 @@ def test_goe_sdp_estimate_checks(solved):
     # a point whose objective is not the reported estimate
     other = sphere.random_config(n, est.point_plus.k, 0)
     assert _fails(wl, inst, dataclasses.replace(est, point_plus=other))
+    # the bracket alone: weak duality, then tightness
+    dense = inst["A"].to_dense()
+    upper = checks.dual_bound(dense, est.point_plus.rows)
+    l1 = float(np.abs(dense).sum(axis=0).max())
+    assert checks.check_sdp_bracket(est.value_plus, upper, n, l1) == []
+    assert checks.check_sdp_bracket(upper + 1e-3, upper, n, l1)
+    assert checks.check_sdp_bracket(upper - 0.02 * n, upper, n, l1)
 
 
 def test_er_maxcut_checks(solved):
