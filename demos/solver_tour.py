@@ -25,7 +25,7 @@ def main():
         print(f"   iter {rec.index:5d}  f = {rec.objective:9.2f}  "
               f"|grad| = {rec.grad_norm:.3e}")
 
-    # 2. certified trust-region run (gradient steps + power-method eigen steps)
+    # 2. certified trust-region run (gradient steps + Lanczos eigen steps)
     rep = lr.solve(A, lr.SolverOptions(k=k, seed=2))
     print(f"\ntrust-region (gradient-eigen): {rep.summary_line()}")
     print(f"  certificate: every tangent curvature <= {rep.curvature_cert:.3f} "

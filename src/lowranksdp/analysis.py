@@ -115,7 +115,8 @@ def estimate_sdp(A: SymmetricMatrix, epsilon: float | None = None, seed=0, *,
     """Estimate SDP(A) and SDP(-A) by solving at rank ceil(sqrt(2n)) + 1.
 
     Both values are feasible objectives, hence lower bounds of the true
-    optima; they are estimates, not certified optima.  Budget exhaustion is
+    optima; they are estimates, not certified optima.  Budget exhaustion, or
+    a final curvature certificate shortened by ``max_power_iters``, is
     reported through the converged flags, never raised.
     """
     rank = rank if rank is not None else _estimate_rank(A, manifold)

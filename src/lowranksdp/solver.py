@@ -3,17 +3,21 @@
 Two step schedules are implemented:
 
 * ``eigen-only``: every step moves along an approximate top-curvature
-  direction found by a shifted power method, with step size
+  direction found by Lanczos iteration, with step size
   lam_H / (100 ||A||_1).
 * ``gradient-eigen``: while the Riemannian gradient is large (above the
   spectral norm of A) take fixed-size gradient steps ||A||_2 / (20 ||A||_1);
   otherwise take an eigen-step of size
   min(sqrt(lam_H / (216 ||A||_1)), lam_H / (12 ||A||_2)).
 
-The run stops once a power-method direction certifies that the largest
-Hessian curvature is (with high probability) below the target epsilon; the
-certificate is retried once with a fresh start before convergence is
-declared.  A projected-gradient-ascent baseline shares the report format.
+The run stops once a Lanczos run on the shifted Hessian certifies that the
+largest Hessian curvature is (with high probability) below the target
+epsilon; the certificate is retried once with a fresh start before
+convergence is declared.  The number of Lanczos steps comes from the
+Kuczynski-Wozniakowski random-start bound (SIAM J. Matrix Anal. Appl. 1992),
+so it grows like log(n) / sqrt(epsilon) where the power method's grows like
+log(n) / epsilon.  A projected-gradient-ascent baseline shares the report
+format.
 
 The solver is generic over the sphere-product and Stiefel-product
 geometries; pass ``manifold="stiefel"`` in the options (the matrix must then
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,6 +88,8 @@ class SolverOptions:
             raise ValueError("max_iters must be >= 1")
         if self.power_C <= 0.0:
             raise ValueError("power_C must be positive")
+        if self.max_power_iters is not None and self.max_power_iters < 1:
+            raise ValueError("max_power_iters must be >= 1")
         if self.manifold not in ("sphere", "stiefel"):
             raise ValueError("manifold must be 'sphere' or 'stiefel'")
 
@@ -99,7 +106,15 @@ class StepRecord:
 
 @dataclass
 class SolveReport:
-    """Outcome of a solve: final point, certificate, and per-step trace."""
+    """Outcome of a solve: final point, certificate, and per-step trace.
+
+    ``krylov_steps`` totals the Lanczos steps of every curvature search
+    (one Hessian product each; a stepping direction replays its run once
+    more to rebuild the Ritz vector).  ``cap_hit`` records whether
+    ``max_power_iters`` shortened any step count below the one the
+    analysis asks for; a solve whose final certificate was shortened is
+    not reported as converged.
+    """
 
     sigma: object
     objective: float
@@ -114,6 +129,8 @@ class SolveReport:
     mode: str
     manifold: str
     budget: int
+    krylov_steps: int = 0
+    cap_hit: bool = False
 
     @property
     def iterations(self) -> int:
@@ -121,20 +138,22 @@ class SolveReport:
 
     def summary_line(self) -> str:
         return ("mode=%s manifold=%s converged=%s f=%.10g grad_norm=%.4g cert=%.4g "
-                "steps=%d (gradient=%d eigen=%d) eps=%.4g seed=%d"
+                "steps=%d (gradient=%d eigen=%d) krylov_steps=%d cap_hit=%s eps=%.4g seed=%d"
                 % (self.mode, self.manifold, self.converged, self.objective,
                    self.grad_norm, self.curvature_cert, self.iterations,
-                   self.gradient_steps, self.eigen_steps, self.epsilon, self.seed))
+                   self.gradient_steps, self.eigen_steps, self.krylov_steps,
+                   self.cap_hit, self.epsilon, self.seed))
 
     def trace_csv(self, path) -> None:
         import csv
 
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["iteration", "f", "grad_norm", "kind", "step"])
+            writer.writerow(["iteration", "f", "grad_norm", "kind", "step", "lam_h"])
             for rec in self.trace:
                 writer.writerow([rec.index, f"{rec.objective:.17g}",
-                                 f"{rec.grad_norm:.17g}", rec.kind, f"{rec.step_size:.17g}"])
+                                 f"{rec.grad_norm:.17g}", rec.kind, f"{rec.step_size:.17g}",
+                                 f"{rec.lam_h:.17g}"])
             writer.writerow(["# " + self.summary_line()])
 
 
@@ -178,6 +197,9 @@ class _SphereGeometry:
     def scale_tangent(self, u, c: float):
         return sphere.TangentField(c * u.rows, u.base)
 
+    def project_tangent(self, config, rows):
+        return sphere.TangentField(sphere.project_rows(config.rows, rows), config)
+
 
 class _StiefelGeometry:
     manifold = "stiefel"
@@ -214,6 +236,9 @@ class _StiefelGeometry:
 
     def scale_tangent(self, u, c: float):
         return stiefel.StiefelTangent(c * u.rows, u.base)
+
+    def project_tangent(self, config, rows):
+        return stiefel.StiefelTangent(stiefel.project_rows(config, rows), config)
 
 
 def _geometry(A: SymmetricMatrix, opts: SolverOptions):
@@ -258,7 +283,7 @@ def worst_case_budget(A: SymmetricMatrix, epsilon: float, mode: str) -> int:
     return int(min(math.ceil(t), _BUDGET_CAP))
 
 
-# -- power method and direction finding ----------------------------------------
+# -- power method, Lanczos and direction finding -------------------------------
 
 
 def power_method(H, mu_H: float, N_H: int, seed):
@@ -286,27 +311,118 @@ def power_method(H, mu_H: float, N_H: int, seed):
     return type(start)(rows, H.config)
 
 
-def _power_iteration_count(opts: SolverOptions, n: int, l1: float,
-                           epsilon: float, lam_prev: float | None) -> int:
-    # the analysis wants C ||A||_1 log n / lam_max; lam_max is replaced by the
-    # best available lower bound (previous eigen Rayleigh value, floored at eps)
+# Kuczynski & Wozniakowski (SIAM J. Matrix Anal. Appl. 1992): for a positive
+# semidefinite operator on R^D and a uniformly random unit start, q Lanczos
+# steps leave the top Ritz value below (1 - e) lam_max with probability at
+# most _KW_CONST sqrt(D) exp(-sqrt(e) (2q - 1)).
+_KW_CONST = 1.648
+# a residual this small relative to the shift means the Krylov space closed
+_BREAKDOWN = 1e-12
+
+
+def _krylov_step_count(opts: SolverOptions, n: int, dim: int, mu_H: float,
+                       epsilon: float, lam_prev: float | None) -> tuple[int, bool]:
+    """Lanczos steps for one curvature search; returns ``(steps, capped)``.
+
+    Hess + mu_H I is positive semidefinite with top eigenvalue at most
+    2 mu_H, so relative accuracy e = lam_ref / (2 mu_H) loses at most lam_ref
+    of curvature; lam_ref is the best available lower bound on the top
+    curvature (the previous eigen Rayleigh value, floored at epsilon).  The
+    count makes the Kuczynski-Wozniakowski failure probability at most
+    n^(-power_C / 8).  It is capped at ``dim``, where the Krylov space is
+    exhausted, and at ``max_power_iters``; ``capped`` reports whether the
+    latter shortened it.
+    """
     lam_ref = max(lam_prev if lam_prev is not None else 0.0, epsilon)
-    n_h = int(math.ceil(opts.power_C * l1 * math.log(max(n, 2)) / lam_ref))
-    n_h = max(n_h, 1)
-    if opts.max_power_iters is not None:
-        n_h = min(n_h, int(opts.max_power_iters))
-    return n_h
+    e = min(lam_ref / (2.0 * mu_H), 1.0)
+    log_ratio = math.log(_KW_CONST * math.sqrt(dim)) + opts.power_C / 8.0 * math.log(n)
+    steps = max(min(math.ceil((log_ratio / math.sqrt(e) + 1.0) / 2.0), dim), 1)
+    if opts.max_power_iters is not None and opts.max_power_iters < steps:
+        return int(opts.max_power_iters), True
+    return steps, False
+
+
+def _lanczos_tridiagonal(H, mu_H: float, start: np.ndarray, steps: int):
+    """Three-term Lanczos recurrence on Hess + mu_H I from unit tangent rows.
+
+    Only the last two basis vectors are held, so memory stays O(D).  Returns
+    the diagonal and off-diagonal of the tridiagonal matrix, stopping early
+    when the Krylov space closes.
+    """
+    alpha: list[float] = []
+    beta: list[float] = []
+    v_prev, v = None, start
+    for j in range(steps):
+        w = H.apply_rows(v) + mu_H * v
+        if v_prev is not None:
+            w -= beta[-1] * v_prev
+        alpha.append(float(np.sum(w * v)))
+        w -= alpha[-1] * v
+        b = float(np.linalg.norm(w))
+        if j + 1 == steps or b <= _BREAKDOWN * mu_H:
+            break
+        beta.append(b)
+        v_prev, v = v, w / b
+    return np.array(alpha), np.array(beta)
+
+
+def _lanczos_combination(H, mu_H: float, start: np.ndarray, alpha: np.ndarray,
+                         beta: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_j coef_j v_j over the Lanczos basis of ``_lanczos_tridiagonal``.
+
+    Replays the recurrence from the same start with the stored coefficients,
+    in the same order of operations, so the basis is rebuilt bit for bit at
+    the cost of len(alpha) - 1 products.
+    """
+    out = coef[0] * start
+    v_prev, v = None, start
+    for j, b in enumerate(beta):
+        w = H.apply_rows(v) + mu_H * v
+        if v_prev is not None:
+            w -= beta[j - 1] * v_prev
+        w -= alpha[j] * v
+        v_prev, v = v, w / b
+        out += coef[j + 1] * v
+    return out
+
+
+class _Search(NamedTuple):
+    """Outcome of one curvature search; ``<u, grad f> >= 0`` always."""
+
+    u: object
+    lam_h: float
+    certified: bool  # the top Ritz value minus mu_H is at most epsilon
+    steps: int  # Lanczos steps taken
+    capped: bool  # max_power_iters shortened the step count
 
 
 def _eigen_direction(state: _State, geom, opts: SolverOptions, epsilon: float,
-                     lam_prev: float | None, rng):
-    l1 = geom.A.l1_norm()
-    n_h = _power_iteration_count(opts, geom.n, l1, epsilon, lam_prev)
-    u = power_method(state.hess, geom.mu_H, n_h, rng)
+                     lam_prev: float | None, rng) -> _Search:
+    """Top-curvature search by Lanczos from a random unit tangent.
+
+    When the top Ritz value certifies curvature at most ``epsilon``, ``lam_h``
+    is that value and ``u`` the start vector, whose curvature it bounds.
+    Otherwise ``u`` is the Ritz vector, rebuilt by a second pass and
+    re-projected onto the tangent space, and ``lam_h`` its Rayleigh quotient.
+    """
+    H, mu_H = state.hess, geom.mu_H
+    u = H.random_tangent(rng)
+    steps, capped = _krylov_step_count(opts, geom.n, geom.tangent_dim(), mu_H,
+                                       epsilon, lam_prev)
+    alpha, beta = _lanczos_tridiagonal(H, mu_H, u.rows, steps)
+    # the tridiagonal is small (the step count), so a dense solve is cheap
+    # and keeps scipy.linalg out of the process
+    theta, coef = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    lam_h = float(theta[-1]) - mu_H
+    certified = lam_h <= epsilon
+    if not certified:
+        rows = _lanczos_combination(H, mu_H, u.rows, alpha, beta, coef[:, -1])
+        u = geom.project_tangent(state.config, rows)
+        u = geom.scale_tangent(u, 1.0 / u.norm)
+        lam_h = H.rayleigh(u)
     if float(np.sum(u.rows * state.grad.rows)) < 0.0:
         u = geom.scale_tangent(u, -1.0)
-    lam_h = state.hess.rayleigh(u)
-    return u, lam_h
+    return _Search(u, lam_h, certified, int(alpha.size), capped)
 
 
 def direction_finding(A: SymmetricMatrix, config, mu_G: float, *,
@@ -317,12 +433,15 @@ def direction_finding(A: SymmetricMatrix, config, mu_G: float, *,
 
     Returns ``(u, kind, lam_h)`` with ``u`` a unit tangent: the normalized
     gradient when its norm exceeds ``mu_G`` (kind ``"gradient"``), otherwise
-    a power-method direction of near-maximal curvature with
-    ``<u, grad f> >= 0`` (kind ``"eigen"``).  ``lam_h`` is the Hessian
-    Rayleigh quotient of ``u``; a value at or below the target epsilon on an
-    eigen direction signals termination, not an error.
+    a Lanczos direction of near-maximal curvature with ``<u, grad f> >= 0``
+    (kind ``"eigen"``).  ``lam_h`` is the Hessian Rayleigh quotient of ``u``,
+    except that a value at or below the target epsilon on an eigen direction
+    is the Lanczos bound on the top curvature of the whole Krylov space
+    searched; it signals termination, not an error.  ``power_C`` sets the
+    per-search failure probability to ``n^(-power_C/8)``.
     """
     opts = SolverOptions(k=config.k, power_C=power_C, max_power_iters=max_power_iters)
+    opts.validate()
     geom = (_StiefelGeometry(A, config.k) if isinstance(config, stiefel.StiefelConfig)
             else _SphereGeometry(A, config.k))
     state = geom.evaluate(config)
@@ -330,8 +449,8 @@ def direction_finding(A: SymmetricMatrix, config, mu_G: float, *,
     if state.grad_norm > mu_G:
         u = geom.scale_tangent(state.grad, 1.0 / state.grad_norm)
         return u, "gradient", state.hess.rayleigh(u)
-    u, lam_h = _eigen_direction(state, geom, opts, epsilon, lam_floor, rng)
-    return u, "eigen", lam_h
+    search = _eigen_direction(state, geom, opts, epsilon, lam_floor, rng)
+    return search.u, "eigen", search.lam_h
 
 
 # -- single trust-region step ----------------------------------------------------
@@ -361,7 +480,8 @@ def rtr_step(A: SymmetricMatrix, config, opts: SolverOptions, *,
             nxt = geom.retract(config, u, eta)
             after = geom.evaluate(nxt)
             return nxt, StepRecord(0, "gradient", eta, after.objective, after.grad_norm)
-    u, lam_h = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
+    search = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
+    u, lam_h = search.u, search.lam_h
     if lam_h <= epsilon:
         return config, StepRecord(0, "none", 0.0, state.objective, state.grad_norm, lam_h)
     if opts.mode == MODE_EIGEN_ONLY:
@@ -381,10 +501,11 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None) -> SolveReport:
     """Run the trust-region method until the curvature certificate holds.
 
     Terminates when the gradient threshold is met (gradient-eigen mode) and a
-    power-method certificate reports top curvature at most epsilon twice in a
-    row, or when the step budget is exhausted (``converged=False`` then; no
-    exception).  Any starting point is admissible; ``sigma0=None`` draws a
-    uniformly random one.
+    Lanczos certificate reports top curvature at most epsilon twice in a row,
+    or when the step budget is exhausted.  ``converged`` is False then, and
+    also when ``max_power_iters`` shortened the final certificate's step
+    count (no exception either way).  Any starting point is admissible;
+    ``sigma0=None`` draws a uniformly random one.
     """
     opts.validate()
     geom = _geometry(A, opts)
@@ -405,10 +526,11 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None) -> SolveReport:
     mu_g = math.inf if opts.mode == MODE_EIGEN_ONLY else A.opnorm()
     l2 = None if opts.mode == MODE_EIGEN_ONLY else A.opnorm()
 
-    t_g = t_h = 0
+    t_g = t_h = krylov_steps = 0
+    cap_hit = False
     lam_prev: float | None = None
     cert = math.nan
-    converged = False
+    certified = converged = False
     for it in range(1, budget + 1):
         if state.grad_norm > mu_g:
             eta = mu_g / (20.0 * l1)
@@ -418,16 +540,22 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None) -> SolveReport:
             t_g += 1
             trace.append(StepRecord(it, "gradient", eta, state.objective, state.grad_norm))
             continue
-        u, lam_h = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
-        if lam_h <= epsilon:
-            # the power method fails with small probability; retry once before
-            # trusting the certificate
-            u2, lam_h2 = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
-            if lam_h2 <= epsilon:
-                cert = max(lam_h, lam_h2)
-                converged = True
+        search = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
+        krylov_steps += search.steps
+        cap_hit = cap_hit or search.capped
+        if search.certified:
+            # a random start fails with small probability; retry once before
+            # trusting the certificate (same lam_prev, hence the same count)
+            retry = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
+            krylov_steps += retry.steps
+            if retry.certified:
+                cert = max(search.lam_h, retry.lam_h)
+                certified = True
+                # a shortened count certifies less than the analysis states
+                converged = not search.capped
                 break
-            u, lam_h = u2, lam_h2
+            search = retry
+        u, lam_h = search.u, search.lam_h
         lam_prev = lam_h
         if opts.mode == MODE_EIGEN_ONLY:
             eta = lam_h / (100.0 * l1)
@@ -438,14 +566,18 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None) -> SolveReport:
         t_h += 1
         trace.append(StepRecord(it, "eigen", eta, state.objective, state.grad_norm, lam_h))
 
-    if not converged:
+    if not certified:
         # budget exhausted: measure (but do not certify) the current curvature
-        _, cert = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
+        search = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
+        cert = search.lam_h
+        krylov_steps += search.steps
+        cap_hit = cap_hit or search.capped
 
     return SolveReport(sigma=state.config, objective=state.objective, grad_norm=state.grad_norm,
                        curvature_cert=float(cert), converged=converged,
                        gradient_steps=t_g, eigen_steps=t_h, trace=trace, seed=opts.seed,
-                       epsilon=epsilon, mode=opts.mode, manifold=geom.manifold, budget=budget)
+                       epsilon=epsilon, mode=opts.mode, manifold=geom.manifold, budget=budget,
+                       krylov_steps=krylov_steps, cap_hit=cap_hit)
 
 
 def projected_gradient_ascent(A: SymmetricMatrix, sigma0, step: float | None = None,

@@ -52,8 +52,8 @@ class SymmetricMatrix:
 
     The represented matrix is ``core + shift * ones @ ones.T``.  Input is
     symmetrized by averaging with its transpose; asymmetry beyond a relative
-    1e-8 is rejected.  Instances are immutable after construction and safe to
-    share across threads.
+    1e-8 is rejected, and so are non-finite entries or shift.  Instances are
+    immutable after construction and safe to share across threads.
 
     Parameters
     ----------
@@ -67,10 +67,16 @@ class SymmetricMatrix:
     """
 
     def __init__(self, data, shift: float = 0.0, block_dim: int | None = None):
+        shift = float(shift)
+        if not np.isfinite(shift):
+            raise ValueError("shift must be finite")
         if sp.issparse(data):
             core = sp.csr_matrix(data, dtype=float)
             if core.shape[0] != core.shape[1]:
                 raise ValueError("matrix must be square")
+            # NaN would pass the asymmetry test below (every comparison is False)
+            if not np.all(np.isfinite(core.data)):
+                raise ValueError("matrix entries must be finite")
             asym = sp.linalg.norm(core - core.T)
             scale = max(sp.linalg.norm(core), 1e-300)
             if asym > _SYM_TOL * scale:
@@ -83,6 +89,8 @@ class SymmetricMatrix:
             core = np.array(data, dtype=float)
             if core.ndim != 2 or core.shape[0] != core.shape[1]:
                 raise ValueError("matrix must be square")
+            if not np.all(np.isfinite(core)):
+                raise ValueError("matrix entries must be finite")
             asym = np.linalg.norm(core - core.T)
             scale = max(np.linalg.norm(core), 1e-300)
             if asym > _SYM_TOL * scale:
@@ -91,7 +99,7 @@ class SymmetricMatrix:
             core.setflags(write=False)
             self._core = core
             self._sparse = False
-        self._shift = float(shift)
+        self._shift = shift
         n = self._core.shape[0]
         if block_dim is not None:
             block_dim = int(block_dim)

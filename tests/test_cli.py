@@ -56,7 +56,7 @@ class TestSolveAndCheck:
                     "--out", trace, "--out-config", cfg,
                     "--pga-iters", 1000]) == 0
         lines = trace.read_text().splitlines()
-        assert lines[0] == "iteration,f,grad_norm,kind,step"
+        assert lines[0] == "iteration,f,grad_norm,kind,step,lam_h"
         assert lines[-1].startswith("# mode=")
         assert cfg.read_text().startswith("config n 30 k 3")
 

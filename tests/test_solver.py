@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from lowranksdp import instances, sphere, stiefel
+from lowranksdp import instances, solver, sphere, stiefel
 from lowranksdp.solver import (
     MODE_EIGEN_ONLY,
     MODE_GRADIENT_EIGEN,
@@ -115,6 +115,100 @@ class TestPowerMethod:
         H = HessianOperator(A, cfg)
         u = power_method(H, mu_H=4 * A.l1_norm(), N_H=30, seed=11)
         assert u.norm == pytest.approx(1.0, abs=1e-13)
+
+
+class TestLanczosCertificate:
+    @staticmethod
+    def kw_failure(n_steps, dim, e):
+        # Kuczynski-Wozniakowski random-start bound for n_steps Lanczos steps
+        return 1.648 * math.sqrt(dim) * math.exp(-math.sqrt(e) * (2 * n_steps - 1))
+
+    def test_exhausted_krylov_space_matches_dense_oracle(self):
+        # at count D the Krylov space is the whole tangent space, so both the
+        # certificate and the stepping direction's curvature are exact
+        n, k = 30, 3
+        for seed in range(3):
+            A = instances.goe(n, 700 + seed)
+            cfg = random_config(n, k, 800 + seed)
+            lam_max = oracles.tangent_hessian_lambda_max(A, cfg)
+            mu_h = 4.0 * A.l1_norm()
+            # a huge power_C asks for more than D steps even at a loose target
+            _, kind, cert = direction_finding(A, cfg, mu_G=math.inf, epsilon=lam_max + 1.0,
+                                              power_C=1e4, seed=seed)
+            assert kind == "eigen"
+            assert abs(cert - lam_max) <= 1e-8 * mu_h
+            u, kind, lam_h = direction_finding(A, cfg, mu_G=math.inf, epsilon=1e-8, seed=seed)
+            assert kind == "eigen" and lam_h > 1e-8
+            assert abs(lam_h - lam_max) <= 1e-8 * mu_h
+            assert u.norm == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [5, 80, 10**6])
+    @pytest.mark.parametrize("lam_ref", [1e-9, 1e-3, 0.5, 1e3])
+    @pytest.mark.parametrize("power_C", [2.0, 8.0])
+    def test_step_count_follows_kw_bound(self, dim, lam_ref, power_C):
+        n, mu_h = 40, 26.0
+        opts = SolverOptions(k=3, power_C=power_C)
+        steps, capped = solver._krylov_step_count(opts, n, dim, mu_h, lam_ref, None)
+        assert not capped
+        e = min(lam_ref / (2 * mu_h), 1.0)
+        target = n ** (-power_C / 8)
+        if steps < dim:
+            # the smallest count whose failure probability meets the target
+            assert self.kw_failure(steps, dim, e) <= target
+            assert steps == 1 or self.kw_failure(steps - 1, dim, e) > target
+        else:
+            assert steps == dim and self.kw_failure(dim - 1, dim, e) > target
+        # lam_prev raises the reference curvature, never lowers it
+        assert solver._krylov_step_count(opts, n, dim, mu_h, lam_ref, 0.1 * lam_ref) == (steps, False)
+        # max_power_iters caps the count, and cap_hit says so exactly when it bites
+        for cap in (steps - 1, steps, steps + 1):
+            if cap < 1:
+                continue
+            opts = SolverOptions(k=3, power_C=power_C, max_power_iters=cap)
+            assert solver._krylov_step_count(opts, n, dim, mu_h, lam_ref, None) == (
+                min(cap, steps), cap < steps)
+
+    def test_capped_certificate_is_not_converged(self):
+        A = instances.goe(40, 3)
+        warm = projected_gradient_ascent(A, random_config(40, 3, 4), iters=5000,
+                                         grad_tol=1e-6)
+        eps = 0.5  # well above the warm point's top curvature, so it certifies at once
+        assert oracles.tangent_hessian_lambda_max(A, warm.sigma) < eps
+        steps, _ = solver._krylov_step_count(SolverOptions(k=3), A.n, A.n * 2,
+                                             4 * A.l1_norm(), eps, None)
+        for cap, capped in ((None, False), (steps, False), (steps - 1, True)):
+            rep = solve(A, SolverOptions(k=3, epsilon=eps, seed=5, max_power_iters=cap),
+                        sigma0=warm.sigma)
+            assert rep.iterations == 0 and rep.curvature_cert <= eps
+            assert rep.krylov_steps == 2 * (steps - capped)  # certificate and retry
+            assert rep.cap_hit is capped
+            assert rep.converged is not capped
+            assert f"krylov_steps={rep.krylov_steps} cap_hit={capped}" in rep.summary_line()
+
+    def test_count_capped_at_tangent_dimension(self):
+        # a tight target asks for more steps than the tangent space has
+        A = instances.goe(10, 3)
+        warm = projected_gradient_ascent(A, random_config(10, 3, 4), iters=20000,
+                                         grad_tol=1e-10)
+        assert oracles.tangent_hessian_lambda_max(A, warm.sigma) <= 1e-9
+        rep = solve(A, SolverOptions(k=3, epsilon=1e-6, seed=5), sigma0=warm.sigma)
+        assert rep.converged and not rep.cap_hit
+        assert rep.krylov_steps == 2 * A.n * (3 - 1)  # certificate and retry, D steps each
+
+    def test_ritz_directions_are_valid_tangents(self):
+        A = instances.goe(36, 16)
+        cfg = random_config(36, 4, 17)
+        u, kind, lam_h = direction_finding(A, cfg, mu_G=math.inf, epsilon=1e-8, seed=1)
+        assert kind == "eigen" and lam_h > 1e-8
+        sphere.TangentField(u.rows, cfg)  # validates orthogonality to the base rows
+        B = A.with_block_dim(3)
+        ocfg = stiefel.oc_random_config(12, 3, 5, 18)
+        for seed in range(3):
+            u, kind, lam_h = direction_finding(B, ocfg, mu_G=math.inf, epsilon=1e-8, seed=seed)
+            assert kind == "eigen" and lam_h > 1e-8
+            stiefel.StiefelTangent(u.rows, ocfg)  # validates the block skew condition
+            assert u.norm == pytest.approx(1.0, abs=1e-12)
+            assert lam_h == pytest.approx(stiefel.oc_rayleigh(B, ocfg, u), abs=1e-12)
 
 
 class TestRtrStep:
@@ -283,7 +377,7 @@ class TestSolve:
         path = tmp_path / "trace.csv"
         rep.trace_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,f,grad_norm,kind,step"
+        assert lines[0] == "iteration,f,grad_norm,kind,step,lam_h"
         assert lines[-1].startswith("# mode=")
 
 
@@ -307,6 +401,8 @@ class TestDefaults:
             SolverOptions(k=2, mode="bogus").validate()
         with pytest.raises(ValueError):
             SolverOptions(k=2, epsilon=-1.0).validate()
+        with pytest.raises(ValueError):
+            SolverOptions(k=2, max_power_iters=0).validate()
 
 
 class TestProjectedGradientAscent:

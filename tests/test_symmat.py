@@ -34,6 +34,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SymmetricMatrix(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, bad):
+        # NaN and inf make the asymmetry norm NaN, which no comparison rejects
+        dense = np.array([[1.0, bad], [bad, 3.0]])
+        with pytest.raises(ValueError, match="finite"):
+            SymmetricMatrix(dense)
+        with pytest.raises(ValueError, match="finite"):
+            SymmetricMatrix(sp.csr_matrix(dense))
+        with pytest.raises(ValueError, match="finite"):
+            SymmetricMatrix(np.eye(2), shift=bad)
+
     def test_block_dim_must_divide(self):
         with pytest.raises(ValueError):
             SymmetricMatrix(np.eye(5), block_dim=2)
