@@ -26,6 +26,7 @@ carry a matching ``block_dim``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -197,8 +198,8 @@ class _SphereGeometry:
     def scale_tangent(self, u, c: float):
         return sphere.TangentField(c * u.rows, u.base)
 
-    def project_tangent(self, config, rows):
-        return sphere.TangentField(sphere.project_rows(config.rows, rows), config)
+    def project_rows(self, config, rows):
+        return sphere.project_rows(config.rows, rows)
 
 
 class _StiefelGeometry:
@@ -237,8 +238,8 @@ class _StiefelGeometry:
     def scale_tangent(self, u, c: float):
         return stiefel.StiefelTangent(c * u.rows, u.base)
 
-    def project_tangent(self, config, rows):
-        return stiefel.StiefelTangent(stiefel.project_rows(config, rows), config)
+    def project_rows(self, config, rows):
+        return stiefel.project_rows(config, rows)
 
 
 def _geometry(A: SymmetricMatrix, opts: SolverOptions):
@@ -342,12 +343,16 @@ def _krylov_step_count(opts: SolverOptions, n: int, dim: int, mu_H: float,
     return steps, False
 
 
-def _lanczos_tridiagonal(H, mu_H: float, start: np.ndarray, steps: int):
+def _lanczos_tridiagonal(H, mu_H: float, project, start: np.ndarray, steps: int):
     """Three-term Lanczos recurrence on Hess + mu_H I from unit tangent rows.
 
-    Only the last two basis vectors are held, so memory stays O(D).  Returns
-    the diagonal and off-diagonal of the tridiagonal matrix, stopping early
-    when the Krylov space closes.
+    Only the last two basis vectors are held, so memory stays O(D).  Each new
+    vector is projected back onto the tangent space with ``project``: the
+    shifted operator acts on the normal space as mu_H, at the top of the
+    tangent spectrum once the curvature is small, so roundoff there would
+    grow like a top eigencomponent and push Ritz values above the spectrum.
+    Returns the diagonal and off-diagonal of the tridiagonal matrix, stopping
+    early when the Krylov space closes.
     """
     alpha: list[float] = []
     beta: list[float] = []
@@ -357,7 +362,7 @@ def _lanczos_tridiagonal(H, mu_H: float, start: np.ndarray, steps: int):
         if v_prev is not None:
             w -= beta[-1] * v_prev
         alpha.append(float(np.sum(w * v)))
-        w -= alpha[-1] * v
+        w = project(w - alpha[-1] * v)
         b = float(np.linalg.norm(w))
         if j + 1 == steps or b <= _BREAKDOWN * mu_H:
             break
@@ -366,7 +371,7 @@ def _lanczos_tridiagonal(H, mu_H: float, start: np.ndarray, steps: int):
     return np.array(alpha), np.array(beta)
 
 
-def _lanczos_combination(H, mu_H: float, start: np.ndarray, alpha: np.ndarray,
+def _lanczos_combination(H, mu_H: float, project, start: np.ndarray, alpha: np.ndarray,
                          beta: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """sum_j coef_j v_j over the Lanczos basis of ``_lanczos_tridiagonal``.
 
@@ -380,7 +385,7 @@ def _lanczos_combination(H, mu_H: float, start: np.ndarray, alpha: np.ndarray,
         w = H.apply_rows(v) + mu_H * v
         if v_prev is not None:
             w -= beta[j - 1] * v_prev
-        w -= alpha[j] * v
+        w = project(w - alpha[j] * v)
         v_prev, v = v, w / b
         out += coef[j + 1] * v
     return out
@@ -409,16 +414,16 @@ def _eigen_direction(state: _State, geom, opts: SolverOptions, epsilon: float,
     u = H.random_tangent(rng)
     steps, capped = _krylov_step_count(opts, geom.n, geom.tangent_dim(), mu_H,
                                        epsilon, lam_prev)
-    alpha, beta = _lanczos_tridiagonal(H, mu_H, u.rows, steps)
+    project = functools.partial(geom.project_rows, state.config)
+    alpha, beta = _lanczos_tridiagonal(H, mu_H, project, u.rows, steps)
     # the tridiagonal is small (the step count), so a dense solve is cheap
     # and keeps scipy.linalg out of the process
     theta, coef = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
     lam_h = float(theta[-1]) - mu_H
     certified = lam_h <= epsilon
     if not certified:
-        rows = _lanczos_combination(H, mu_H, u.rows, alpha, beta, coef[:, -1])
-        u = geom.project_tangent(state.config, rows)
-        u = geom.scale_tangent(u, 1.0 / u.norm)
+        rows = project(_lanczos_combination(H, mu_H, project, u.rows, alpha, beta, coef[:, -1]))
+        u = type(u)(rows / np.linalg.norm(rows), state.config)
         lam_h = H.rayleigh(u)
     if float(np.sum(u.rows * state.grad.rows)) < 0.0:
         u = geom.scale_tangent(u, -1.0)
