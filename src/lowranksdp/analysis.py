@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import solver, sphere, stiefel
-from .solver import SolverOptions, projected_gradient_ascent, solve
+from .solver import SolverOptions, solve
 from .symmat import SymmetricMatrix
 
 __all__ = [
@@ -51,10 +51,8 @@ class SdpEstimate:
     epsilon_used: float
     converged_plus: bool = True
     converged_minus: bool = True
-    point_plus: sphere.SphereConfig | stiefel.StiefelConfig | None = field(
-        default=None, compare=False, repr=False)
-    point_minus: sphere.SphereConfig | stiefel.StiefelConfig | None = field(
-        default=None, compare=False, repr=False)
+    point_plus: stiefel.StiefelConfig | None = field(default=None, compare=False, repr=False)
+    point_minus: stiefel.StiefelConfig | None = field(default=None, compare=False, repr=False)
 
     @property
     def rg(self) -> float:
@@ -89,22 +87,14 @@ def _estimate_rank(A: SymmetricMatrix, manifold: str) -> int:
 def _one_sided_estimate(B: SymmetricMatrix, rank: int, epsilon: float, seed,
                         manifold: str, pga_iters: int, rtr_budget: int,
                         power_C: float, max_power_iters: int):
-    rng = np.random.default_rng(seed)
-    if manifold == "stiefel":
-        sigma0 = stiefel.oc_random_config(B.num_blocks, B.block_dim, rank, rng)
-    else:
-        sigma0 = sphere.random_config(B.n, rank, rng)
-    l1 = B.l1_norm()
-    if l1 == 0.0:
+    if B.l1_norm() == 0.0:
         return 0.0, True, None
-    # warm start: plain gradient ascent climbs fast, then the certified
-    # trust-region tail finishes from wherever it landed
-    warm = projected_gradient_ascent(B, sigma0, step=1.0 / (4.0 * l1), iters=pga_iters,
-                                     grad_tol=1e-3 * l1, record_every=10**9)
+    rng = np.random.default_rng(seed)
+    sigma0 = solver.warm_start(B, rank, rng, manifold=manifold, iters=pga_iters)
     opts = SolverOptions(k=rank, mode=solver.MODE_GRADIENT_EIGEN, epsilon=epsilon,
                          max_iters=rtr_budget, power_C=power_C, seed=int(rng.integers(2**32)),
                          manifold=manifold, max_power_iters=max_power_iters)
-    report = solve(B, opts, sigma0=warm.sigma)
+    report = solve(B, opts, sigma0=sigma0)
     return report.objective, report.converged, report.sigma
 
 
@@ -132,29 +122,16 @@ def estimate_sdp(A: SymmetricMatrix, epsilon: float | None = None, seed=0, *,
                        point_plus=point_plus, point_minus=point_minus)
 
 
-def grothendieck_check(A: SymmetricMatrix, config: sphere.SphereConfig, epsilon: float,
+def grothendieck_check(A: SymmetricMatrix, config: stiefel.StiefelConfig, epsilon: float,
                        est: SdpEstimate, tol: float | None = None):
-    """Check f(sigma) >= SDP_est - Rg_est/(k-1) - n*eps/2; returns (holds, slack).
+    """Check f(sigma) >= SDP_est - Rg_est/(k_d-1) - n*eps/2; returns (holds, slack).
 
-    Since the estimate is a lower bound of SDP(A), a pass is conservative in
-    one direction; the signed slack is returned for analysis either way.
+    k_d = 2k/(d+1) is the effective rank, k itself on the sphere product
+    (d = 1).  Since the estimate is a lower bound of SDP(A), a pass is
+    conservative in one direction; the signed slack is returned for analysis
+    either way.
     """
-    k = config.k
-    if k < 2:
-        raise ValueError("the bound needs k >= 2")
-    if tol is None:
-        tol = 1e-6 * A.n * A.l1_norm()
-    f_val = sphere.objective(A, config)
-    bound = est.value_plus - est.rg / (k - 1.0) - A.n * epsilon / 2.0
-    slack = f_val - bound
-    return slack >= -tol, slack
-
-
-def oc_grothendieck_check(A: SymmetricMatrix, config: stiefel.StiefelConfig, epsilon: float,
-                          est: SdpEstimate, tol: float | None = None):
-    """Orthogonal-Cut version of the bound with effective rank k_d = 2k/(d+1)."""
-    d = config.d
-    k_d = 2.0 * config.k / (d + 1.0)
+    k_d = solver.effective_rank(config.k, config.d)
     if k_d <= 1.0:
         raise ValueError("the bound needs k_d = 2k/(d+1) > 1")
     if tol is None:
@@ -163,6 +140,9 @@ def oc_grothendieck_check(A: SymmetricMatrix, config: stiefel.StiefelConfig, eps
     bound = est.value_plus - est.rg / (k_d - 1.0) - A.n * epsilon / 2.0
     slack = f_val - bound
     return slack >= -tol, slack
+
+
+oc_grothendieck_check = grothendieck_check
 
 
 def _signs(x: np.ndarray) -> np.ndarray:

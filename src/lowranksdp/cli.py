@@ -63,30 +63,13 @@ def _maximizer(A, k, solver_kind, seed, *, budget=None, pga_iters=3000,
                pga_step=None, manifold="sphere", epsilon=None, warm=True):
     """Run the chosen solver from a seeded random start; returns a report."""
     if solver_kind == "pga":
-        if manifold == "stiefel":
-            sigma0 = stiefel.oc_random_config(A.num_blocks, A.block_dim, k, seed)
-        else:
-            sigma0 = sphere.random_config(A.n, k, seed)
-        return solver.projected_gradient_ascent(A, sigma0, step=pga_step,
-                                                iters=pga_iters, record_every=10**9)
+        return solver.projected_gradient_ascent(A, solver.random_start(A, k, seed, manifold),
+                                                step=pga_step, iters=pga_iters,
+                                                record_every=10**9)
     opts = SolverOptions(k=k, mode=_MODE_BY_FLAG[solver_kind], epsilon=epsilon,
                          max_iters=budget, seed=seed, manifold=manifold,
                          max_power_iters=3000)
-    sigma0 = None
-    if warm:
-        # any initialization is admissible; a gradient-ascent warm start keeps
-        # the certified tail short
-        if manifold == "stiefel":
-            start = stiefel.oc_random_config(A.num_blocks, A.block_dim, k, seed)
-        else:
-            start = sphere.random_config(A.n, k, seed)
-        l1 = A.l1_norm()
-        if l1 > 0:
-            sigma0 = solver.projected_gradient_ascent(
-                A, start, step=1 / (4 * l1), iters=pga_iters,
-                grad_tol=1e-3 * l1, record_every=10**9).sigma
-        else:
-            sigma0 = start
+    sigma0 = solver.warm_start(A, k, seed, manifold=manifold, iters=pga_iters) if warm else None
     return solver.solve(A, opts, sigma0=sigma0)
 
 
@@ -143,10 +126,7 @@ def _cmd_solve(args) -> int:
     if args.out:
         rep.trace_csv(args.out)
     if args.out_config:
-        if manifold == "stiefel":
-            stiefel.save_oc_config(rep.sigma, args.out_config)
-        else:
-            sphere.save_config(rep.sigma, args.out_config)
+        stiefel.write_config(rep.sigma, args.out_config)
     print(rep.summary_line())
     if args.strict and not rep.converged:
         return 3
@@ -158,31 +138,24 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     A = load_symmat(args.in_matrix)
-    with open(args.in_config) as fh:
-        kind = fh.readline().split()[0]
-    if kind == "occonfig":
-        config = stiefel.load_oc_config(args.in_config)
-        manifold = "stiefel"
-        if A.block_dim != config.d:
-            A = A.with_block_dim(config.d)
-    else:
-        config = sphere.load_config(args.in_config)
-        manifold = "sphere"
+    try:
+        config = stiefel.read_config(args.in_config)
+    except ValueError as exc:
+        print(f"error: {args.in_config}: {exc}", file=sys.stderr)
+        return 2
+    manifold = "sphere" if config.d == 1 else "stiefel"
+    if manifold == "stiefel" and A.block_dim != config.d:
+        A = A.with_block_dim(config.d)
     eps = args.eps
     if eps is None:
-        k = config.k
-        eps = solver.default_epsilon(A, k, manifold) if A.l1_norm() > 0 else 1.0
+        eps = solver.default_epsilon(A, config.k, manifold) if A.l1_norm() > 0 else 1.0
     est = analysis.estimate_sdp(A, seed=args.seed, manifold=manifold,
                                 pga_iters=args.pga_iters)
-    if manifold == "stiefel":
-        holds, slack = analysis.oc_grothendieck_check(A, config, eps, est)
-    else:
-        holds, slack = analysis.grothendieck_check(A, config, eps, est)
+    holds, slack = analysis.grothendieck_check(A, config, eps, est)
     print(f"holds={holds} slack={slack:.10g} sdp_est={est.value_plus:.10g} "
           f"rg_est={est.rg:.10g} eps={eps:.6g} converged_est={est.converged}")
     if args.out:
-        f_val = (stiefel.oc_objective(A, config) if manifold == "stiefel"
-                 else sphere.objective(A, config))
+        f_val = stiefel.oc_objective(A, config)
         _write_csv(args.out,
                    ["model", "n", "k", "seed", "eps", "f", "sdp_est", "rg_est",
                     "gap", "bound_slack", "holds"],
@@ -339,10 +312,10 @@ def _cmd_ocsdp(args) -> int:
                              pga_iters=args.pga_iters, pga_step=args.pga_step,
                              manifold="stiefel")
             ok = ok and rep.converged
-            k_d = 2.0 * k / (d + 1.0)
+            k_d = solver.effective_rank(k, d)
             eps = rep.epsilon if not math.isnan(rep.epsilon) else \
                 solver.default_epsilon(A, k, "stiefel")
-            holds, slack = analysis.oc_grothendieck_check(A, rep.sigma, eps, est)
+            holds, slack = analysis.grothendieck_check(A, rep.sigma, eps, est)
             rows.append(["goe-oc", args.n, d, k, _fmt(k_d), seed, args.solver,
                          _fmt(rep.objective), _fmt(est.value_plus), _fmt(est.rg),
                          _fmt(est.value_plus - rep.objective), _fmt(slack),

@@ -19,9 +19,12 @@ so it grows like log(n) / sqrt(epsilon) where the power method's grows like
 log(n) / epsilon.  A projected-gradient-ascent baseline shares the report
 format.
 
-The solver is generic over the sphere-product and Stiefel-product
-geometries; pass ``manifold="stiefel"`` in the options (the matrix must then
-carry a matching ``block_dim``).
+There is one geometry, the frame product of ``stiefel``: the default
+``manifold="sphere"`` is its d = 1 case, the product of spheres, and
+``manifold="stiefel"`` takes d from the matrix's ``block_dim``.  ``solve``
+loops over the same private step that ``rtr_step`` takes once, and
+``warm_start`` is the gradient-ascent start that the CLI and
+``analysis.estimate_sdp`` put in front of a certified solve.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "SolveReport",
     "MODE_EIGEN_ONLY",
     "MODE_GRADIENT_EIGEN",
+    "effective_rank",
     "default_epsilon",
     "worst_case_budget",
     "power_method",
@@ -49,6 +53,8 @@ __all__ = [
     "rtr_step",
     "solve",
     "projected_gradient_ascent",
+    "random_start",
+    "warm_start",
 ]
 
 MODE_EIGEN_ONLY = "eigen-only"
@@ -74,7 +80,6 @@ class SolverOptions:
     max_iters: int | None = None
     power_C: float = 8.0
     seed: int = 0
-    pga_step: float | None = None
     manifold: str = "sphere"
     max_power_iters: int | None = None
 
@@ -158,7 +163,7 @@ class SolveReport:
             writer.writerow(["# " + self.summary_line()])
 
 
-# -- geometry adapters --------------------------------------------------------
+# -- geometry -------------------------------------------------------------------
 
 
 @dataclass
@@ -170,95 +175,84 @@ class _State:
     grad_norm: float
 
 
-class _SphereGeometry:
-    manifold = "sphere"
+class _Geometry:
+    """The frame product a solve runs on, with the constants of its analysis.
 
-    def __init__(self, A: SymmetricMatrix, k: int):
-        if k < 1:
-            raise ValueError("rank k must be >= 1")
-        self.A = A
-        self.k = k
-        self.n = A.n
-        self.mu_H = 4.0 * A.l1_norm()
+    ``manifold="stiefel"`` takes d = ``A.block_dim``; ``"sphere"`` is d = 1
+    with the sphere names' Hessian, which accepts any block structure.
+    """
 
-    def tangent_dim(self) -> int:
-        return self.n * (self.k - 1)
-
-    def random_point(self, rng):
-        return sphere.random_config(self.n, self.k, rng)
-
-    def evaluate(self, config) -> _State:
-        h = sphere.HessianOperator(self.A, config)
-        g = h.gradient()
-        return _State(config, h, h.objective_value(), g, g.norm)
-
-    def retract(self, config, u, t):
-        return sphere.retract(config, u, t)
-
-    def scale_tangent(self, u, c: float):
-        return sphere.TangentField(c * u.rows, u.base)
-
-    def project_rows(self, config, rows):
-        return sphere.project_rows(config.rows, rows)
-
-
-class _StiefelGeometry:
-    manifold = "stiefel"
-
-    def __init__(self, A: SymmetricMatrix, k: int):
-        if A.block_dim is None:
-            raise ValueError("stiefel solves need a matrix with block_dim set")
-        d = A.block_dim
+    def __init__(self, A: SymmetricMatrix, k: int, manifold: str):
+        if manifold == "stiefel":
+            if A.block_dim is None:
+                raise ValueError("stiefel solves need a matrix with block_dim set")
+            d, self._hessian = A.block_dim, stiefel.OcHessianOperator
+        else:
+            d, self._hessian = 1, sphere.HessianOperator
         if k < d:
             raise ValueError("rank k must be at least the block dimension d")
-        self.A = A
-        self.k = k
-        self.n = A.n
-        self.d = d
-        self.m = A.num_blocks
-        # upper bound on ||Hess||: 2(||A||_2 + ||Lambda||_2) <= 2(1 + sqrt(d)) ||A||_1;
-        # equals the sphere shift 4||A||_1 at d = 1
-        self.mu_H = 2.0 * (1.0 + math.sqrt(d)) * A.l1_norm()
+        self.A, self.k, self.d, self.n, self.m = A, k, d, A.n, A.n // d
+        self.manifold = manifold
+        self.l1 = A.l1_norm()
+        # upper bound on ||Hess||: 2(||A||_2 + ||Lambda||_2) <= 2(1 + sqrt(d)) ||A||_1,
+        # which is 4||A||_1 on the sphere product
+        self.mu_H = 2.0 * (1.0 + math.sqrt(d)) * self.l1
 
     def tangent_dim(self) -> int:
-        per_block = self.d * (self.k - self.d) + self.d * (self.d - 1) // 2
-        return self.m * per_block
+        return self.m * (self.d * (self.k - self.d) + self.d * (self.d - 1) // 2)
 
-    def random_point(self, rng):
-        return stiefel.oc_random_config(self.m, self.d, self.k, rng)
+    def random_point(self, seed):
+        return stiefel.oc_random_config(self.m, self.d, self.k, seed)
 
     def evaluate(self, config) -> _State:
-        h = stiefel.OcHessianOperator(self.A, config)
+        h = self._hessian(self.A, config)
         g = h.gradient()
         return _State(config, h, h.objective_value(), g, g.norm)
 
-    def retract(self, config, u, t):
-        return stiefel.oc_retract(config, u, t)
 
-    def scale_tangent(self, u, c: float):
-        return stiefel.StiefelTangent(c * u.rows, u.base)
-
-    def project_rows(self, config, rows):
-        return stiefel.project_rows(config, rows)
+def _manifold_of(config) -> str:
+    return "sphere" if config.d == 1 else "stiefel"
 
 
-def _geometry(A: SymmetricMatrix, opts: SolverOptions):
-    if opts.manifold == "stiefel":
-        return _StiefelGeometry(A, opts.k)
-    return _SphereGeometry(A, opts.k)
+def _scaled(u, c: float):
+    return stiefel.StiefelTangent(c * u.rows, u.base)
+
+
+def random_start(A: SymmetricMatrix, k: int, seed, manifold: str = "sphere"):
+    """Uniformly random point of the manifold a solve with these options runs on.
+
+    ``seed`` may be an integer or a numpy Generator (which is advanced).
+    """
+    return _Geometry(A, k, manifold).random_point(seed)
+
+
+def warm_start(A: SymmetricMatrix, k: int, seed, *, manifold: str = "sphere",
+               iters: int = 3000):
+    """Random start climbed by gradient ascent: the usual start of a certified solve.
+
+    Any start is admissible; plain ascent with step 1/(4||A||_1) climbs fast
+    and stops once the gradient norm falls to 1e-3 ||A||_1, so the certified
+    trust-region tail is short.  ``seed`` is used as in ``random_start``.
+    """
+    start = random_start(A, k, seed, manifold)
+    l1 = A.l1_norm()
+    if l1 == 0.0:
+        return start
+    return projected_gradient_ascent(A, start, step=1.0 / (4.0 * l1), iters=iters,
+                                     grad_tol=1e-3 * l1, record_every=10**9).sigma
 
 
 # -- parameter defaults --------------------------------------------------------
 
 
+def effective_rank(k: int, d: int) -> float:
+    """k_d = 2k/(d+1), the rank the Grothendieck-type bound sees; k itself at d = 1."""
+    return 2.0 * k / (d + 1)
+
+
 def default_epsilon(A: SymmetricMatrix, k: int, manifold: str = "sphere") -> float:
-    """Natural curvature target 2*Rg/(n(k-1)) with Rg bounded by 2n||A||_2."""
-    if manifold == "stiefel":
-        if A.block_dim is None:
-            raise ValueError("stiefel epsilon needs a matrix with block_dim set")
-        k_eff = 2.0 * k / (A.block_dim + 1)
-    else:
-        k_eff = float(k)
+    """Natural curvature target 2*Rg/(n(k_d-1)) with Rg bounded by 2n||A||_2."""
+    k_eff = effective_rank(k, _Geometry(A, k, manifold).d)
     if k_eff <= 1.0:
         raise ValueError("effective rank must exceed 1 for the default epsilon")
     l2 = A.opnorm()
@@ -414,7 +408,7 @@ def _eigen_direction(state: _State, geom, opts: SolverOptions, epsilon: float,
     u = H.random_tangent(rng)
     steps, capped = _krylov_step_count(opts, geom.n, geom.tangent_dim(), mu_H,
                                        epsilon, lam_prev)
-    project = functools.partial(geom.project_rows, state.config)
+    project = functools.partial(stiefel.project_rows, state.config)
     alpha, beta = _lanczos_tridiagonal(H, mu_H, project, u.rows, steps)
     # the tridiagonal is small (the step count), so a dense solve is cheap
     # and keeps scipy.linalg out of the process
@@ -426,7 +420,7 @@ def _eigen_direction(state: _State, geom, opts: SolverOptions, epsilon: float,
         u = type(u)(rows / np.linalg.norm(rows), state.config)
         lam_h = H.rayleigh(u)
     if float(np.sum(u.rows * state.grad.rows)) < 0.0:
-        u = geom.scale_tangent(u, -1.0)
+        u = _scaled(u, -1.0)
     return _Search(u, lam_h, certified, int(alpha.size), capped)
 
 
@@ -443,60 +437,83 @@ def direction_finding(A: SymmetricMatrix, config, mu_G: float, *,
     except that a value at or below the target epsilon on an eigen direction
     is the Lanczos bound on the top curvature of the whole Krylov space
     searched; it signals termination, not an error.  ``power_C`` sets the
-    per-search failure probability to ``n^(-power_C/8)``.
+    per-search failure probability to ``n^(-power_C/8)``.  A d > 1 point
+    runs on the Stiefel product, which needs ``A.block_dim == d``.
     """
     opts = SolverOptions(k=config.k, power_C=power_C, max_power_iters=max_power_iters)
     opts.validate()
-    geom = (_StiefelGeometry(A, config.k) if isinstance(config, stiefel.StiefelConfig)
-            else _SphereGeometry(A, config.k))
+    geom = _Geometry(A, config.k, _manifold_of(config))
     state = geom.evaluate(config)
     rng = np.random.default_rng(seed)
     if state.grad_norm > mu_G:
-        u = geom.scale_tangent(state.grad, 1.0 / state.grad_norm)
+        u = _scaled(state.grad, 1.0 / state.grad_norm)
         return u, "gradient", state.hess.rayleigh(u)
     search = _eigen_direction(state, geom, opts, epsilon, lam_floor, rng)
     return search.u, "eigen", search.lam_h
 
 
-# -- single trust-region step ----------------------------------------------------
+# -- the trust-region step ---------------------------------------------------------
+
+
+class _Step(NamedTuple):
+    kind: str  # "gradient" | "eigen" | "none" (certified twice: no movement)
+    eta: float
+    state: _State  # after the step; the unchanged state for "none"
+    lam_h: float
+    krylov_steps: int
+    capped: bool
+
+
+def _step(state: _State, geom: _Geometry, opts: SolverOptions, epsilon: float,
+          lam_prev: float | None, rng) -> _Step:
+    """One step of the schedule in the module docstring (``geom.l1`` must be positive).
+
+    A search that certifies curvature at most ``epsilon`` is retried once
+    from a fresh start (a random start fails with small probability; the
+    same ``lam_prev`` gives the same count), and a second certificate means
+    kind ``"none"`` with ``lam_h`` the larger bound.
+    """
+    l1 = geom.l1
+    if opts.mode == MODE_GRADIENT_EIGEN and state.grad_norm > geom.A.opnorm():
+        eta = geom.A.opnorm() / (20.0 * l1)
+        u = _scaled(state.grad, 1.0 / state.grad_norm)
+        nxt = geom.evaluate(stiefel.oc_retract(state.config, u, eta))
+        return _Step("gradient", eta, nxt, math.nan, 0, False)
+    search = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
+    krylov_steps = search.steps
+    if search.certified:
+        retry = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
+        krylov_steps += retry.steps
+        if retry.certified:
+            return _Step("none", 0.0, state, max(search.lam_h, retry.lam_h),
+                         krylov_steps, search.capped)
+        search = retry
+    lam_h = search.lam_h
+    if opts.mode == MODE_EIGEN_ONLY:
+        eta = lam_h / (100.0 * l1)
+    else:
+        eta = min(math.sqrt(lam_h / (216.0 * l1)), lam_h / (12.0 * geom.A.opnorm()))
+    nxt = geom.evaluate(stiefel.oc_retract(state.config, search.u, eta))
+    return _Step("eigen", eta, nxt, lam_h, krylov_steps, search.capped)
 
 
 def rtr_step(A: SymmetricMatrix, config, opts: SolverOptions, *,
              rng=None, lam_prev: float | None = None):
     """One step of the trust-region schedule; returns (next_config, record).
 
-    A zero matrix, or an eigen direction whose curvature is already at or
-    below the target, produces no movement (kind ``"none"``).
+    A zero matrix, or curvature certified at or below the target by two
+    Lanczos searches in a row, produces no movement (kind ``"none"``).
     """
     opts.validate()
     rng = np.random.default_rng(opts.seed if rng is None else rng)
-    geom = _geometry(A, opts)
-    l1 = A.l1_norm()
-    if l1 == 0.0:
-        state = geom.evaluate(config)
+    geom = _Geometry(A, opts.k, opts.manifold)
+    state = geom.evaluate(config)
+    if geom.l1 == 0.0:
         return config, StepRecord(0, "none", 0.0, state.objective, state.grad_norm, 0.0)
     epsilon = opts.epsilon if opts.epsilon is not None else default_epsilon(A, opts.k, opts.manifold)
-    state = geom.evaluate(config)
-    if opts.mode == MODE_GRADIENT_EIGEN:
-        mu_g = A.opnorm()
-        if state.grad_norm > mu_g:
-            eta = mu_g / (20.0 * l1)
-            u = geom.scale_tangent(state.grad, 1.0 / state.grad_norm)
-            nxt = geom.retract(config, u, eta)
-            after = geom.evaluate(nxt)
-            return nxt, StepRecord(0, "gradient", eta, after.objective, after.grad_norm)
-    search = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
-    u, lam_h = search.u, search.lam_h
-    if lam_h <= epsilon:
-        return config, StepRecord(0, "none", 0.0, state.objective, state.grad_norm, lam_h)
-    if opts.mode == MODE_EIGEN_ONLY:
-        eta = lam_h / (100.0 * l1)
-    else:
-        l2 = A.opnorm()
-        eta = min(math.sqrt(lam_h / (216.0 * l1)), lam_h / (12.0 * l2))
-    nxt = geom.retract(config, u, eta)
-    after = geom.evaluate(nxt)
-    return nxt, StepRecord(0, "eigen", eta, after.objective, after.grad_norm, lam_h)
+    step = _step(state, geom, opts, epsilon, lam_prev, rng)
+    return step.state.config, StepRecord(0, step.kind, step.eta, step.state.objective,
+                                         step.state.grad_norm, step.lam_h)
 
 
 # -- full solves -----------------------------------------------------------------
@@ -513,65 +530,40 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None) -> SolveReport:
     ``sigma0=None`` draws a uniformly random one.
     """
     opts.validate()
-    geom = _geometry(A, opts)
+    geom = _Geometry(A, opts.k, opts.manifold)
     rng = np.random.default_rng(opts.seed)
     config = sigma0 if sigma0 is not None else geom.random_point(rng)
     epsilon = opts.epsilon if opts.epsilon is not None else default_epsilon(A, opts.k, opts.manifold)
-    l1 = A.l1_norm()
     state = geom.evaluate(config)
     trace = [StepRecord(0, "init", 0.0, state.objective, state.grad_norm)]
 
-    if l1 == 0.0 or geom.tangent_dim() == 0:
+    if geom.l1 == 0.0 or geom.tangent_dim() == 0:
         return SolveReport(sigma=config, objective=state.objective, grad_norm=state.grad_norm,
                            curvature_cert=0.0, converged=True, gradient_steps=0, eigen_steps=0,
                            trace=trace, seed=opts.seed, epsilon=epsilon, mode=opts.mode,
                            manifold=geom.manifold, budget=0)
 
     budget = opts.max_iters if opts.max_iters is not None else worst_case_budget(A, epsilon, opts.mode)
-    mu_g = math.inf if opts.mode == MODE_EIGEN_ONLY else A.opnorm()
-    l2 = None if opts.mode == MODE_EIGEN_ONLY else A.opnorm()
-
-    t_g = t_h = krylov_steps = 0
-    cap_hit = False
+    counts = {"gradient": 0, "eigen": 0}
+    krylov_steps = 0
+    cap_hit = converged = False
     lam_prev: float | None = None
-    cert = math.nan
-    certified = converged = False
     for it in range(1, budget + 1):
-        if state.grad_norm > mu_g:
-            eta = mu_g / (20.0 * l1)
-            u = geom.scale_tangent(state.grad, 1.0 / state.grad_norm)
-            config = geom.retract(state.config, u, eta)
-            state = geom.evaluate(config)
-            t_g += 1
-            trace.append(StepRecord(it, "gradient", eta, state.objective, state.grad_norm))
-            continue
-        search = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
-        krylov_steps += search.steps
-        cap_hit = cap_hit or search.capped
-        if search.certified:
-            # a random start fails with small probability; retry once before
-            # trusting the certificate (same lam_prev, hence the same count)
-            retry = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
-            krylov_steps += retry.steps
-            if retry.certified:
-                cert = max(search.lam_h, retry.lam_h)
-                certified = True
-                # a shortened count certifies less than the analysis states
-                converged = not search.capped
-                break
-            search = retry
-        u, lam_h = search.u, search.lam_h
-        lam_prev = lam_h
-        if opts.mode == MODE_EIGEN_ONLY:
-            eta = lam_h / (100.0 * l1)
-        else:
-            eta = min(math.sqrt(lam_h / (216.0 * l1)), lam_h / (12.0 * l2))
-        config = geom.retract(state.config, u, eta)
-        state = geom.evaluate(config)
-        t_h += 1
-        trace.append(StepRecord(it, "eigen", eta, state.objective, state.grad_norm, lam_h))
-
-    if not certified:
+        step = _step(state, geom, opts, epsilon, lam_prev, rng)
+        krylov_steps += step.krylov_steps
+        cap_hit = cap_hit or step.capped
+        if step.kind == "none":
+            cert = step.lam_h
+            # a shortened count certifies less than the analysis states
+            converged = not step.capped
+            break
+        state = step.state
+        counts[step.kind] += 1
+        if step.kind == "eigen":
+            lam_prev = step.lam_h
+        trace.append(StepRecord(it, step.kind, step.eta, state.objective, state.grad_norm,
+                                step.lam_h))
+    else:
         # budget exhausted: measure (but do not certify) the current curvature
         search = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
         cert = search.lam_h
@@ -580,9 +572,10 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None) -> SolveReport:
 
     return SolveReport(sigma=state.config, objective=state.objective, grad_norm=state.grad_norm,
                        curvature_cert=float(cert), converged=converged,
-                       gradient_steps=t_g, eigen_steps=t_h, trace=trace, seed=opts.seed,
-                       epsilon=epsilon, mode=opts.mode, manifold=geom.manifold, budget=budget,
-                       krylov_steps=krylov_steps, cap_hit=cap_hit)
+                       gradient_steps=counts["gradient"], eigen_steps=counts["eigen"],
+                       trace=trace, seed=opts.seed, epsilon=epsilon, mode=opts.mode,
+                       manifold=geom.manifold, budget=budget, krylov_steps=krylov_steps,
+                       cap_hit=cap_hit)
 
 
 def projected_gradient_ascent(A: SymmetricMatrix, sigma0, step: float | None = None,
@@ -593,27 +586,23 @@ def projected_gradient_ascent(A: SymmetricMatrix, sigma0, step: float | None = N
     Updates sigma <- P_M(sigma + step * grad f(sigma)) with the raw
     (unnormalized) gradient; the objective trace need not be monotone.  The
     default step is 1/(20 ||A||_1).  ``grad_tol`` adds an early exit; the
-    report's ``converged`` flag reflects it when given.
+    report's ``converged`` flag reflects it when given.  A d > 1 start runs
+    on the Stiefel product, which needs ``A.block_dim == d``.
     """
-    if isinstance(sigma0, stiefel.StiefelConfig):
-        geom = _StiefelGeometry(A, sigma0.k)
-    else:
-        geom = _SphereGeometry(A, sigma0.k)
-    l1 = A.l1_norm()
+    geom = _Geometry(A, sigma0.k, _manifold_of(sigma0))
+    l1 = geom.l1
     if step is None:
         step = 1.0 / (20.0 * l1) if l1 > 0.0 else 0.0
     elif step <= 0.0:
         raise ValueError("step must be positive")
-    config = sigma0
-    state = geom.evaluate(config)
+    state = geom.evaluate(sigma0)
     trace = [StepRecord(0, "init", 0.0, state.objective, state.grad_norm)]
     done = 0
     hit_tol = grad_tol is not None and state.grad_norm <= grad_tol
     for it in range(1, iters + 1):
         if hit_tol or step == 0.0 or state.grad_norm == 0.0:
             break
-        config = geom.retract(state.config, state.grad, step)
-        state = geom.evaluate(config)
+        state = geom.evaluate(stiefel.oc_retract(state.config, state.grad, step))
         done = it
         if it % record_every == 0 or it == iters:
             trace.append(StepRecord(it, "pga", step, state.objective, state.grad_norm))

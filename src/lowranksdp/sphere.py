@@ -1,18 +1,28 @@
-"""Geometry of the product-of-spheres manifold.
+"""The product of unit spheres: the d = 1 names of the frame geometry.
 
 Points are n x k matrices with unit rows; the objective is the quadratic
 form <sigma, A sigma>.  Tangent vectors have each row orthogonal to the
-matching row of the base point.  The retraction is exact row normalization
-of sigma + t*u, with rows re-normalized after every step so the unit-row
-invariant never drifts.
+matching row of the base point, and the retraction normalizes the rows of
+sigma + t*u.  Every operation is the d = 1 case of ``stiefel``, which runs
+the row kernels and the unit-row tolerance there; this module only keeps
+the MaxCut names.  Unlike the Orthogonal-Cut names, these accept a matrix
+with any block structure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
+from .stiefel import (
+    OcHessianOperator,
+    StiefelConfig as SphereConfig,
+    StiefelTangent as TangentField,
+    oc_objective as objective,
+    oc_project_tangent as project_tangent,
+    oc_random_config,
+    oc_random_tangent as random_tangent,
+    oc_retract as retract,
+    read_config,
+    write_config,
+)
 from .symmat import SymmetricMatrix
 
 __all__ = [
@@ -31,180 +41,21 @@ __all__ = [
     "load_config",
 ]
 
-ROW_TOL = 1e-10
 
+class HessianOperator(OcHessianOperator):
+    """Hessian at a point of the sphere product; the matrix needs no block structure."""
 
-def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
-
-
-def normalize_rows(rows: np.ndarray) -> np.ndarray:
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
-def project_rows(base_rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise orthogonal projection v_i -> v_i - <s_i, v_i> s_i."""
-    return v - row_dots(base_rows, v)[:, None] * base_rows
-
-
-def retract_rows(base_rows: np.ndarray, u_rows: np.ndarray, t: float) -> np.ndarray:
-    return normalize_rows(base_rows + t * u_rows)
-
-
-@dataclass(frozen=True)
-class SphereConfig:
-    """A point on the product of n unit spheres in R^k, stored as unit rows."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.array(self.rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
-            raise ValueError("configuration must be a nonempty n x k matrix")
-        norms = np.linalg.norm(rows, axis=1)
-        if np.any(np.abs(norms - 1.0) > ROW_TOL):
-            raise ValueError("rows must have unit norm (max deviation %.3g)"
-                             % float(np.abs(norms - 1.0).max()))
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.rows.shape[1]
-
-
-@dataclass(frozen=True)
-class TangentField:
-    """Element of the tangent space at ``base``: rows orthogonal to base rows."""
-
-    rows: np.ndarray
-    base: SphereConfig
-
-    def __post_init__(self):
-        rows = np.array(self.rows, dtype=float)
-        if rows.shape != self.base.rows.shape:
-            raise ValueError("tangent shape does not match base configuration")
-        dots = np.abs(row_dots(rows, self.base.rows))
-        scale = 1.0 + np.linalg.norm(rows, axis=1)
-        if np.any(dots > ROW_TOL * scale):
-            raise ValueError("rows are not orthogonal to the base configuration")
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.rows))
-
-
-def project_tangent(config: SphereConfig, v: np.ndarray) -> TangentField:
-    """Orthogonal projection of an arbitrary n x k matrix onto the tangent space.
-
-    Idempotent and self-adjoint.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != config.rows.shape:
-        raise ValueError("shape mismatch in tangent projection")
-    return TangentField(project_rows(config.rows, v), config)
-
-
-def retract(config: SphereConfig, u: TangentField, t: float) -> SphereConfig:
-    """Metric projection of sigma + t*u back onto the manifold.
-
-    For tangent u the result row is (s_i + t u_i) / sqrt(1 + t^2 |u_i|^2);
-    the denominator never drops below one.  Negative t is allowed (the curve
-    is defined for all real t), although solver steps are nonnegative.
-    """
-    if u.base is not config and u.base.rows is not config.rows:
-        raise ValueError("tangent field is based at a different configuration")
-    if t == 0.0:
-        return config
-    return SphereConfig(retract_rows(config.rows, u.rows, float(t)))
-
-
-def objective(A: SymmetricMatrix, config: SphereConfig) -> float:
-    """The quadratic objective <sigma, A sigma> = Tr(sigma^T A sigma)."""
-    if A.n != config.n:
-        raise ValueError("dimension mismatch between matrix and configuration")
-    return float(row_dots(config.rows, A.dot(config.rows)).sum())
+    @staticmethod
+    def _check(A: SymmetricMatrix, config: SphereConfig) -> None:
+        if A.n != config.n:
+            raise ValueError("dimension mismatch between matrix and configuration")
+        if config.d != 1:
+            raise ValueError("the sphere product needs a d = 1 configuration")
 
 
 def gradient(A: SymmetricMatrix, config: SphereConfig) -> TangentField:
     """Riemannian gradient 2(A - Lambda) sigma, Lambda = ddiag(A sigma sigma^T)."""
-    if A.n != config.n:
-        raise ValueError("dimension mismatch between matrix and configuration")
-    asig = A.dot(config.rows)
-    lam = row_dots(config.rows, asig)
-    g = 2.0 * (asig - lam[:, None] * config.rows)
-    return TangentField(g, config)
-
-
-class HessianOperator:
-    """Riemannian Hessian of the objective at a fixed configuration.
-
-    Caches Lambda = ddiag(A sigma sigma^T) (as an n-vector) and A sigma at
-    construction; safe for concurrent read-only application.
-    """
-
-    def __init__(self, A: SymmetricMatrix, config: SphereConfig):
-        if A.n != config.n:
-            raise ValueError("dimension mismatch between matrix and configuration")
-        self.A = A
-        self.config = config
-        self._asig = A.dot(config.rows)
-        self._lam = row_dots(config.rows, self._asig)
-
-    @property
-    def lam(self) -> np.ndarray:
-        """Diagonal of Lambda; lam[i] = <sigma_i, (A sigma)_i>."""
-        return self._lam
-
-    def objective_value(self) -> float:
-        return float(self._lam.sum())
-
-    def gradient(self) -> TangentField:
-        g = 2.0 * (self._asig - self._lam[:, None] * self.config.rows)
-        return TangentField(g, self.config)
-
-    def _check_base(self, u: TangentField) -> None:
-        if u.base is not self.config and u.base.rows is not self.config.rows:
-            raise ValueError("tangent field is based at a different configuration")
-
-    def apply(self, u: TangentField) -> TangentField:
-        """Hess f(sigma)[u]; self-adjoint on the tangent space."""
-        self._check_base(u)
-        au = self.A.dot(u.rows)
-        w = 2.0 * (au - self._lam[:, None] * u.rows)
-        d = row_dots(self._asig, u.rows) + row_dots(au, self.config.rows)
-        w = w - 2.0 * d[:, None] * self.config.rows
-        return TangentField(project_rows(self.config.rows, w), self.config)
-
-    def apply_rows(self, u_rows: np.ndarray) -> np.ndarray:
-        """Hessian action on raw tangent rows, skipping wrapper validation.
-
-        Valid only for rows already orthogonal to the base; used by the
-        power-method inner loop where the operator equals the projected
-        2(A - Lambda) restriction.
-        """
-        au = self.A.dot(u_rows)
-        w = 2.0 * (au - self._lam[:, None] * u_rows)
-        return project_rows(self.config.rows, w)
-
-    def rayleigh(self, u: TangentField) -> float:
-        """<u, Hess[u]> / <u, u> via the 2<u, (A - Lambda)u> identity."""
-        self._check_base(u)
-        uu = float(np.sum(u.rows * u.rows))
-        if uu == 0.0:
-            raise ValueError("rayleigh quotient of the zero tangent")
-        au = self.A.dot(u.rows)
-        quad = 2.0 * (float(np.sum(u.rows * au)) - float(np.sum(self._lam * row_dots(u.rows, u.rows))))
-        return quad / uu
-
-    def random_tangent(self, seed) -> TangentField:
-        return random_tangent(self.config, seed)
+    return HessianOperator(A, config).gradient()
 
 
 def hessian_apply(H: HessianOperator, u: TangentField) -> TangentField:
@@ -217,50 +68,12 @@ def rayleigh(H: HessianOperator, u: TangentField) -> float:
 
 def random_config(n: int, k: int, seed) -> SphereConfig:
     """Rows drawn uniformly on the sphere (normalized Gaussians); deterministic per seed."""
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((n, k))
-    return SphereConfig(normalize_rows(rows))
-
-
-def random_tangent(config: SphereConfig, seed) -> TangentField:
-    """Projected Gaussian with unit Frobenius norm; deterministic per seed."""
-    if config.k == 1:
-        raise ValueError("tangent space is trivial for k = 1")
-    rng = np.random.default_rng(seed)
-    for _ in range(100):
-        g = rng.standard_normal(config.rows.shape)
-        p = project_rows(config.rows, g)
-        nrm = np.linalg.norm(p)
-        # redraw when the sample is (numerically) normal to the manifold, so
-        # normalization never amplifies roundoff into a bogus direction
-        if nrm > 1e-8 * np.linalg.norm(g):
-            return TangentField(p / nrm, config)
-    raise ValueError("degenerate random tangent draw")
-
-
-# -- text serialization ------------------------------------------------------
-#
-# Header ``config n <n> k <k>`` followed by n rows of k floats, printed with
-# 17 significant digits so the round trip is bit exact.
+    return oc_random_config(n, 1, k, seed)
 
 
 def save_config(config: SphereConfig, path) -> None:
-    lines = [f"config n {config.n} k {config.k}"]
-    for row in config.rows:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_config(config, path, "config")
 
 
 def load_config(path) -> SphereConfig:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 5 or header[0] != "config" or header[1] != "n" or header[3] != "k":
-            raise ValueError("not a config file: bad header")
-        n, k = int(header[2]), int(header[4])
-        rows = np.loadtxt(fh, dtype=float, ndmin=2)
-    if rows.shape != (n, k):
-        raise ValueError("config body does not match header dimensions")
-    return SphereConfig(rows)
+    return read_config(path, ("config",))

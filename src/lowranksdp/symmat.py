@@ -289,6 +289,7 @@ def symmatmul(A: SymmetricMatrix, X: np.ndarray) -> np.ndarray:
 #
 # Format: header ``symmat n <n> [blockdim <d>]`` followed by ``i j value``
 # triplets, 0-indexed.  The upper triangle is sufficient; the reader mirrors.
+# Each unordered pair {i, j} may be listed once, in either orientation.
 
 
 def save_symmat(A: SymmetricMatrix, path) -> None:
@@ -330,6 +331,10 @@ def load_symmat(path) -> SymmetricMatrix:
     v = np.array(vals, dtype=float)
     if i.size and (i.min() < 0 or j.min() < 0 or i.max() >= n or j.max() >= n):
         raise ValueError("triplet index out of range")
+    pairs, counts = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_counts=True)
+    if pairs.size != i.size:
+        lo, hi = divmod(int(pairs[np.argmax(counts > 1)]), n)
+        raise ValueError(f"entry ({lo}, {hi}) is listed more than once")
     off = i != j
     full_i = np.concatenate([i, j[off]])
     full_j = np.concatenate([j, i[off]])

@@ -80,6 +80,15 @@ class TestSolveAndCheck:
         header = out.read_text().splitlines()[0]
         assert header.startswith("model,n,k,seed,eps,f,sdp_est")
 
+    @pytest.mark.parametrize("text", ["", "configuration n 2 k 2\n1 0\n0 1\n"])
+    def test_check_bad_config_is_usage_error(self, tmp_path, capsys, text):
+        mat = tmp_path / "m.symmat"
+        cfg = tmp_path / "c.config"
+        run(["gen", "--model", "goe", "--n", 2, "--seed", 0, "--out", mat])
+        cfg.write_text(text)
+        assert run(["check", "--in-matrix", mat, "--in-config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSweeps:
     def test_z2sync_rows_and_reproducibility(self, tmp_path):

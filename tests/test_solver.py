@@ -370,6 +370,18 @@ class TestSolve:
         assert rep_s.objective == rep_o.objective
         assert [r.objective for r in rep_s.trace] == [r.objective for r in rep_o.trace]
 
+    def test_stiefel_d1_bitwise_equals_sphere_with_eigen_steps(self):
+        A = instances.goe(30, 5)
+        reps = [solve(B, SolverOptions(k=3, seed=11, mode=MODE_EIGEN_ONLY, epsilon=0.05,
+                                       max_iters=20, manifold=manifold))
+                for B, manifold in ((A, "sphere"), (A.with_block_dim(1), "stiefel"))]
+        rep_s, rep_o = reps
+        assert rep_s.eigen_steps >= 1
+        assert np.array_equal(rep_s.sigma.rows, rep_o.sigma.rows)
+        for field in ("objective", "lam_h"):
+            assert np.array_equal([getattr(r, field) for r in rep_s.trace],
+                                  [getattr(r, field) for r in rep_o.trace], equal_nan=True)
+
     def test_stiefel_solve_certifies(self):
         A = instances.goe(36, 14).with_block_dim(3)
         rep = solve(A, SolverOptions(k=6, seed=3, manifold="stiefel", max_iters=8000))

@@ -219,6 +219,20 @@ class TestFileFormat:
         A = load_symmat(path)
         assert A.to_dense()[1, 0] == 2.5
 
+    def test_reader_accepts_lower_triangle(self, tmp_path):
+        path = tmp_path / "m.symmat"
+        path.write_text("symmat n 3\n0 0 1\n1 0 2.5\n2 1 -1\n")
+        A = load_symmat(path)
+        assert np.array_equal(A.to_dense(), [[1.0, 2.5, 0.0], [2.5, 0.0, -1.0], [0.0, -1.0, 0.0]])
+
+    @pytest.mark.parametrize("body", ["0 1 1\n1 0 1\n", "0 1 1\n0 1 1\n", "2 2 1\n2 2 1\n"])
+    def test_reader_rejects_repeated_pairs(self, tmp_path, body):
+        # both orientations of a pair name one entry; adding them up would double it
+        path = tmp_path / "m.symmat"
+        path.write_text("symmat n 3\n" + body)
+        with pytest.raises(ValueError):
+            load_symmat(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.symmat"
         path.write_text("wrong 2\n")
