@@ -25,6 +25,14 @@ There is one geometry, the frame product of ``stiefel``: the default
 loops over the same private step that ``rtr_step`` takes once, and
 ``warm_start`` is the gradient-ascent start that the CLI and
 ``analysis.estimate_sdp`` put in front of a certified solve.
+
+Both loops step on raw row arrays: one product ``A @ rows`` per step gives
+the multiplier, gradient and objective through the same ``stiefel`` kernels
+the public objects use, in the same order, so the iterates are those of
+``oc_gradient`` and ``oc_retract`` to the bit.  Every iterate and every
+gradient still passes the point and tangent checks of ``StiefelConfig`` and
+``StiefelTangent``; the public point is built when a step or the report
+needs it.
 """
 
 from __future__ import annotations
@@ -166,13 +174,33 @@ class SolveReport:
 # -- geometry -------------------------------------------------------------------
 
 
-@dataclass
 class _State:
-    config: object
-    hess: object
-    objective: float
-    grad: object
-    grad_norm: float
+    """One iterate on raw rows, from one product ``A @ rows``.
+
+    The loops step on ``rows``; the checked point ``config`` and the Hessian
+    operator (built from the cached product) are made only when asked for.
+    """
+
+    __slots__ = ("geom", "rows", "asig", "lam", "grad", "grad_norm", "objective",
+                 "_config", "_hess")
+
+    def __init__(self, geom, rows, asig, lam, grad, config=None):
+        self.geom, self.rows, self.asig, self.lam, self.grad = geom, rows, asig, lam, grad
+        self.grad_norm = float(np.linalg.norm(grad))
+        self.objective = stiefel._objective(lam, geom.d)
+        self._config, self._hess = config, None
+
+    @property
+    def config(self):
+        if self._config is None:
+            self._config = stiefel.StiefelConfig(self.rows, self.geom.d)
+        return self._config
+
+    @property
+    def hess(self):
+        if self._hess is None:
+            self._hess = self.geom.hessian._at(self.geom.A, self.config, self.asig, self.lam)
+        return self._hess
 
 
 class _Geometry:
@@ -186,9 +214,9 @@ class _Geometry:
         if manifold == "stiefel":
             if A.block_dim is None:
                 raise ValueError("stiefel solves need a matrix with block_dim set")
-            d, self._hessian = A.block_dim, stiefel.OcHessianOperator
+            d, self.hessian = A.block_dim, stiefel.OcHessianOperator
         else:
-            d, self._hessian = 1, sphere.HessianOperator
+            d, self.hessian = 1, sphere.HessianOperator
         if k < d:
             raise ValueError("rank k must be at least the block dimension d")
         self.A, self.k, self.d, self.n, self.m = A, k, d, A.n, A.n // d
@@ -205,9 +233,29 @@ class _Geometry:
         return stiefel.oc_random_config(self.m, self.d, self.k, seed)
 
     def evaluate(self, config) -> _State:
-        h = self._hessian(self.A, config)
-        g = h.gradient()
-        return _State(config, h, h.objective_value(), g, g.norm)
+        """The state at a checked point of this manifold."""
+        self.hessian._check(self.A, config)
+        return self._state(config.rows, config)
+
+    def advance(self, state: _State, u_rows: np.ndarray, t: float) -> _State:
+        """The state at the retraction of ``state`` along tangent rows ``u_rows``.
+
+        The new rows pass the point check and the new gradient the tangent
+        check of the constructors, as every iterate does.  A zero step
+        returns ``state``, as ``oc_retract`` returns its point.
+        """
+        if t == 0.0:
+            return state
+        rows = stiefel._retract_rows(state.rows, u_rows, t, self.d)
+        stiefel._check_point(rows, self.d)
+        return self._state(rows)
+
+    def _state(self, rows: np.ndarray, config=None) -> _State:
+        asig = self.A.dot(rows)
+        lam = stiefel._multiplier(rows, asig, self.d)
+        grad = stiefel._gradient_rows(rows, asig, lam, self.d)
+        stiefel._check_tangent(grad, rows, self.d)
+        return _State(self, rows, asig, lam, grad, config)
 
 
 def _manifold_of(config) -> str:
@@ -419,7 +467,7 @@ def _eigen_direction(state: _State, geom, opts: SolverOptions, epsilon: float,
         rows = project(_lanczos_combination(H, mu_H, project, u.rows, alpha, beta, coef[:, -1]))
         u = type(u)(rows / np.linalg.norm(rows), state.config)
         lam_h = H.rayleigh(u)
-    if float(np.sum(u.rows * state.grad.rows)) < 0.0:
+    if float(np.sum(u.rows * state.grad)) < 0.0:
         u = _scaled(u, -1.0)
     return _Search(u, lam_h, certified, int(alpha.size), capped)
 
@@ -446,7 +494,7 @@ def direction_finding(A: SymmetricMatrix, config, mu_G: float, *,
     state = geom.evaluate(config)
     rng = np.random.default_rng(seed)
     if state.grad_norm > mu_G:
-        u = _scaled(state.grad, 1.0 / state.grad_norm)
+        u = stiefel.StiefelTangent((1.0 / state.grad_norm) * state.grad, state.config)
         return u, "gradient", state.hess.rayleigh(u)
     search = _eigen_direction(state, geom, opts, epsilon, lam_floor, rng)
     return search.u, "eigen", search.lam_h
@@ -476,9 +524,9 @@ def _step(state: _State, geom: _Geometry, opts: SolverOptions, epsilon: float,
     l1 = geom.l1
     if opts.mode == MODE_GRADIENT_EIGEN and state.grad_norm > geom.A.opnorm():
         eta = geom.A.opnorm() / (20.0 * l1)
-        u = _scaled(state.grad, 1.0 / state.grad_norm)
-        nxt = geom.evaluate(stiefel.oc_retract(state.config, u, eta))
-        return _Step("gradient", eta, nxt, math.nan, 0, False)
+        u = (1.0 / state.grad_norm) * state.grad
+        stiefel._check_tangent(u, state.rows, geom.d)
+        return _Step("gradient", eta, geom.advance(state, u, eta), math.nan, 0, False)
     search = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
     krylov_steps = search.steps
     if search.certified:
@@ -493,22 +541,23 @@ def _step(state: _State, geom: _Geometry, opts: SolverOptions, epsilon: float,
         eta = lam_h / (100.0 * l1)
     else:
         eta = min(math.sqrt(lam_h / (216.0 * l1)), lam_h / (12.0 * geom.A.opnorm()))
-    nxt = geom.evaluate(stiefel.oc_retract(state.config, search.u, eta))
-    return _Step("eigen", eta, nxt, lam_h, krylov_steps, search.capped)
+    return _Step("eigen", eta, geom.advance(state, search.u.rows, eta), lam_h, krylov_steps,
+                 search.capped)
 
 
 def rtr_step(A: SymmetricMatrix, config, opts: SolverOptions, *,
              rng=None, lam_prev: float | None = None):
     """One step of the trust-region schedule; returns (next_config, record).
 
-    A zero matrix, or curvature certified at or below the target by two
-    Lanczos searches in a row, produces no movement (kind ``"none"``).
+    A zero matrix, a trivial tangent space (d = k = 1), or curvature
+    certified at or below the target by two Lanczos searches in a row,
+    produces no movement (kind ``"none"``), as ``solve`` stops there.
     """
     opts.validate()
     rng = np.random.default_rng(opts.seed if rng is None else rng)
     geom = _Geometry(A, opts.k, opts.manifold)
     state = geom.evaluate(config)
-    if geom.l1 == 0.0:
+    if geom.l1 == 0.0 or geom.tangent_dim() == 0:
         return config, StepRecord(0, "none", 0.0, state.objective, state.grad_norm, 0.0)
     epsilon = opts.epsilon if opts.epsilon is not None else default_epsilon(A, opts.k, opts.manifold)
     step = _step(state, geom, opts, epsilon, lam_prev, rng)
@@ -602,7 +651,7 @@ def projected_gradient_ascent(A: SymmetricMatrix, sigma0, step: float | None = N
     for it in range(1, iters + 1):
         if hit_tol or step == 0.0 or state.grad_norm == 0.0:
             break
-        state = geom.evaluate(stiefel.oc_retract(state.config, state.grad, step))
+        state = geom.advance(state, state.grad, step)
         done = it
         if it % record_every == 0 or it == iters:
             trace.append(StepRecord(it, "pga", step, state.objective, state.grad_norm))

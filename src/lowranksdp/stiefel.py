@@ -57,11 +57,63 @@ def _blocks(rows: np.ndarray, m: int, d: int) -> np.ndarray:
     return rows.reshape(m, d, rows.shape[1])
 
 
+# -- the point and tangent checks ------------------------------------------------
+#
+# Both run on every iterate and every gradient of the solver's loops as well
+# as in the constructors, so they sum along rows with one BLAS product
+# instead of numpy's slow short-axis reductions.  Only the checks do: the
+# values the solver computes keep their own kernels, bit for bit.
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    return x @ np.ones(x.shape[1])
+
+
+def _check_point(rows: np.ndarray, d: int) -> None:
+    """Raise ValueError unless each block of d rows is orthonormal (unit rows at d = 1).
+
+    Non-finite rows fail: their deviation is NaN or inf.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        if d == 1:
+            err, tol = np.abs(np.sqrt(_row_sums(rows * rows)) - 1.0), ROW_TOL
+        else:
+            blk = _blocks(rows, rows.shape[0] // d, d)
+            dev = blk @ blk.transpose(0, 2, 1) - np.eye(d)
+            err, tol = np.sqrt(_row_sums((dev * dev).reshape(len(dev), d * d))), BLOCK_TOL
+    if not np.all(err <= tol):
+        raise ValueError("blocks are not orthonormal (max deviation %.3g)" % float(err.max()))
+
+
+def _check_tangent(rows: np.ndarray, base_rows: np.ndarray, d: int) -> None:
+    """Raise ValueError unless each block U_i R_i^T is skew (at d = 1, each row
+    is orthogonal to its base row), relative to 1 + |U_i|.
+
+    Non-finite rows fail: their relative deviation is NaN.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        if d == 1:
+            err, tol = np.abs(_row_sums(rows * base_rows)), ROW_TOL
+            scale = 1.0 + np.sqrt(_row_sums(rows * rows))
+        else:
+            m = rows.shape[0] // d
+            ub = _blocks(rows, m, d)
+            s = ub @ _blocks(base_rows, m, d).transpose(0, 2, 1)
+            sym = s + s.transpose(0, 2, 1)
+            err, tol = np.sqrt(_row_sums((sym * sym).reshape(m, d * d))), BLOCK_TOL
+            scale = 1.0 + np.sqrt(_row_sums((ub * ub).reshape(m, -1)))
+        ok = np.all(err / scale <= tol)
+    if not ok:
+        raise ValueError("rows do not satisfy the tangent condition at the base")
+
+
 @dataclass(frozen=True)
 class StiefelConfig:
     """Point of the frame product: m row blocks of d orthonormal rows in R^k.
 
-    ``d = 1`` (the default) is a point of the product of spheres.
+    ``d = 1`` (the default) is a point of the product of spheres.  Rows that
+    are not orthonormal to ``ROW_TOL`` (d = 1) or ``BLOCK_TOL``, non-finite
+    rows included, raise ValueError.
     """
 
     rows: np.ndarray
@@ -74,14 +126,7 @@ class StiefelConfig:
             raise ValueError("rows must stack m >= 1 blocks of d rows each")
         if rows.shape[1] < d:
             raise ValueError("rank k must be at least the block dimension d")
-        if d == 1:
-            err, tol = np.abs(np.linalg.norm(rows, axis=1) - 1.0), ROW_TOL
-        else:
-            blk = _blocks(rows, rows.shape[0] // d, d)
-            dev = np.einsum("bik,bjk->bij", blk, blk) - np.eye(d)
-            err, tol = np.sqrt(np.einsum("bij,bij->b", dev, dev)), BLOCK_TOL
-        if np.any(err > tol):
-            raise ValueError("blocks are not orthonormal (max deviation %.3g)" % float(err.max()))
+        _check_point(rows, d)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "d", d)
@@ -105,7 +150,8 @@ class StiefelConfig:
 @dataclass(frozen=True)
 class StiefelTangent:
     """Tangent element: per block, U_i R_i^T is skew-symmetric (at d = 1,
-    each row is orthogonal to the base row)."""
+    each row is orthogonal to the base row).  Rows that fail this, non-finite
+    rows included, raise ValueError."""
 
     rows: np.ndarray
     base: StiefelConfig
@@ -115,17 +161,7 @@ class StiefelTangent:
         base = self.base
         if rows.shape != base.rows.shape:
             raise ValueError("tangent shape does not match base configuration")
-        if base.d == 1:
-            err, tol = np.abs(row_dots(rows, base.rows)), ROW_TOL
-            scale = 1.0 + np.linalg.norm(rows, axis=1)
-        else:
-            ub = _blocks(rows, base.m, base.d)
-            s = np.einsum("bik,bjk->bij", ub, base.blocks())
-            sym = s + s.transpose(0, 2, 1)
-            err, tol = np.sqrt(np.einsum("bij,bij->b", sym, sym)), BLOCK_TOL
-            scale = 1.0 + np.sqrt(np.einsum("bik,bik->b", ub, ub))
-        if np.any(err > tol * scale):
-            raise ValueError("rows do not satisfy the tangent condition at the base")
+        _check_tangent(rows, base.rows, base.d)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
@@ -172,13 +208,18 @@ def oc_retract(config: StiefelConfig, u: StiefelTangent, t: float) -> StiefelCon
         raise ValueError("tangent field is based at a different configuration")
     if t == 0.0:
         return config
-    moved = config.rows + float(t) * u.rows
-    if config.d == 1:
-        return StiefelConfig(normalize_rows(moved))
-    w, s, vt = np.linalg.svd(_blocks(moved, config.m, config.d), full_matrices=False)
+    return StiefelConfig(_retract_rows(config.rows, u.rows, t, config.d), config.d)
+
+
+def _retract_rows(rows: np.ndarray, u_rows: np.ndarray, t: float, d: int) -> np.ndarray:
+    """The retraction of ``oc_retract`` on raw rows; the result is not checked."""
+    moved = rows + float(t) * u_rows
+    if d == 1:
+        return normalize_rows(moved)
+    w, s, vt = np.linalg.svd(_blocks(moved, rows.shape[0] // d, d), full_matrices=False)
     if s.min() < _MIN_SINGULAR:
         raise ValueError("retraction undefined: rank-deficient block")
-    return StiefelConfig(np.einsum("bij,bjk->bik", w, vt).reshape(moved.shape), config.d)
+    return np.einsum("bij,bjk->bik", w, vt).reshape(moved.shape)
 
 
 def oc_objective(A: SymmetricMatrix, config: StiefelConfig) -> float:
@@ -186,6 +227,37 @@ def oc_objective(A: SymmetricMatrix, config: StiefelConfig) -> float:
     if A.n != config.n:
         raise ValueError("dimension mismatch between matrix and configuration")
     return float(row_dots(config.rows, A.dot(config.rows)).sum())
+
+
+# The multiplier, objective and gradient from the rows and their product
+# A sigma: the Hessian operator and the solver's raw-row loops share them.
+
+
+def _multiplier(rows: np.ndarray, asig: np.ndarray, d: int) -> np.ndarray:
+    """Lambda: its n diagonal entries at d = 1, else its m symmetrized d x d blocks."""
+    if d == 1:
+        return row_dots(rows, asig)
+    m = rows.shape[0] // d
+    lam = np.einsum("bik,bjk->bij", _blocks(asig, m, d), _blocks(rows, m, d))
+    return 0.5 * (lam + lam.transpose(0, 2, 1))
+
+
+def _lam_times(lam: np.ndarray, rows: np.ndarray, d: int) -> np.ndarray:
+    if d == 1:
+        return lam[:, None] * rows
+    return np.einsum("bij,bjk->bik", lam, _blocks(rows, len(lam), d)).reshape(rows.shape)
+
+
+def _objective(lam: np.ndarray, d: int) -> float:
+    """<sigma, A sigma> = Tr(Lambda)."""
+    if d == 1:
+        return float(lam.sum())
+    return float(np.trace(lam.sum(axis=0)))
+
+
+def _gradient_rows(rows: np.ndarray, asig: np.ndarray, lam: np.ndarray, d: int) -> np.ndarray:
+    """Riemannian gradient 2(A - Lambda) sigma; the result is not checked."""
+    return 2.0 * (asig - _lam_times(lam, rows, d))
 
 
 class OcHessianOperator:
@@ -204,12 +276,17 @@ class OcHessianOperator:
         self.A = A
         self.config = config
         self._asig = A.dot(config.rows)
-        if config.d == 1:
-            self._lam = row_dots(config.rows, self._asig)
-        else:
-            lam = np.einsum("bik,bjk->bij", _blocks(self._asig, config.m, config.d),
-                            config.blocks())
-            self._lam = 0.5 * (lam + lam.transpose(0, 2, 1))
+        self._lam = _multiplier(config.rows, self._asig, config.d)
+
+    @classmethod
+    def _at(cls, A: SymmetricMatrix, config: StiefelConfig, asig: np.ndarray,
+            lam: np.ndarray) -> "OcHessianOperator":
+        """The operator at ``config`` from its product A sigma and multiplier
+        Lambda, already computed from ``config.rows``; takes no product."""
+        op = cls.__new__(cls)
+        op._check(A, config)
+        op.A, op.config, op._asig, op._lam = A, config, asig, lam
+        return op
 
     @staticmethod
     def _check(A: SymmetricMatrix, config: StiefelConfig) -> None:
@@ -224,19 +301,12 @@ class OcHessianOperator:
         return self._lam
 
     def objective_value(self) -> float:
-        if self.config.d == 1:
-            return float(self._lam.sum())
-        return float(np.trace(self._lam.sum(axis=0)))
-
-    def _lam_times(self, rows: np.ndarray) -> np.ndarray:
-        if self.config.d == 1:
-            return self._lam[:, None] * rows
-        m, d = self.config.m, self.config.d
-        return np.einsum("bij,bjk->bik", self._lam, _blocks(rows, m, d)).reshape(rows.shape)
+        return _objective(self._lam, self.config.d)
 
     def gradient(self) -> StiefelTangent:
         """Riemannian gradient 2(A - Lambda) sigma."""
-        return StiefelTangent(2.0 * (self._asig - self._lam_times(self.config.rows)), self.config)
+        return StiefelTangent(_gradient_rows(self.config.rows, self._asig, self._lam,
+                                             self.config.d), self.config)
 
     def _check_base(self, u: StiefelTangent) -> None:
         if u.base is not self.config and u.base.rows is not self.config.rows:
@@ -249,7 +319,7 @@ class OcHessianOperator:
 
     def apply_rows(self, u_rows: np.ndarray) -> np.ndarray:
         """Hessian action on raw tangent rows, skipping wrapper validation."""
-        w = 2.0 * (self.A.dot(u_rows) - self._lam_times(u_rows))
+        w = 2.0 * (self.A.dot(u_rows) - _lam_times(self._lam, u_rows, self.config.d))
         return project_rows(self.config, w)
 
     def rayleigh(self, u: StiefelTangent) -> float:
@@ -262,7 +332,7 @@ class OcHessianOperator:
         if self.config.d == 1:
             lam_uu = float(np.sum(self._lam * row_dots(u.rows, u.rows)))
         else:
-            lam_uu = float(np.sum(u.rows * self._lam_times(u.rows)))
+            lam_uu = float(np.sum(u.rows * _lam_times(self._lam, u.rows, self.config.d)))
         return 2.0 * (float(np.sum(u.rows * au)) - lam_uu) / uu
 
     def random_tangent(self, seed) -> StiefelTangent:

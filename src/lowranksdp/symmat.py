@@ -30,6 +30,13 @@ _SYM_TOL = 1e-8
 _SPARSE_DENSITY_CUTOFF = 0.10
 
 
+def _check_finite(values: np.ndarray) -> None:
+    # run on the symmetrized core: NaN passes the asymmetry test (every
+    # comparison is False), and averaging can overflow finite input
+    if not np.all(np.isfinite(values)):
+        raise ValueError("matrix entries must be finite")
+
+
 class OpnormEstimate(NamedTuple):
     """Result of the power-iteration spectral norm estimator."""
 
@@ -74,28 +81,29 @@ class SymmetricMatrix:
             core = sp.csr_matrix(data, dtype=float)
             if core.shape[0] != core.shape[1]:
                 raise ValueError("matrix must be square")
-            # NaN would pass the asymmetry test below (every comparison is False)
-            if not np.all(np.isfinite(core.data)):
-                raise ValueError("matrix entries must be finite")
-            asym = sp.linalg.norm(core - core.T)
-            scale = max(sp.linalg.norm(core), 1e-300)
-            if asym > _SYM_TOL * scale:
-                raise ValueError("matrix is not symmetric (relative asymmetry %.3g)" % (asym / scale))
-            core = (core + core.T) * 0.5
+            with np.errstate(over="ignore", invalid="ignore"):
+                asym = sp.linalg.norm(core - core.T)
+                scale = max(sp.linalg.norm(core), 1e-300)
+                if asym > _SYM_TOL * scale:
+                    raise ValueError("matrix is not symmetric (relative asymmetry %.3g)"
+                                     % (asym / scale))
+                core = (core + core.T) * 0.5
             core.sum_duplicates()
+            _check_finite(core.data)
             self._core = core
             self._sparse = True
         else:
             core = np.array(data, dtype=float)
             if core.ndim != 2 or core.shape[0] != core.shape[1]:
                 raise ValueError("matrix must be square")
-            if not np.all(np.isfinite(core)):
-                raise ValueError("matrix entries must be finite")
-            asym = np.linalg.norm(core - core.T)
-            scale = max(np.linalg.norm(core), 1e-300)
-            if asym > _SYM_TOL * scale:
-                raise ValueError("matrix is not symmetric (relative asymmetry %.3g)" % (asym / scale))
-            core = (core + core.T) * 0.5
+            with np.errstate(over="ignore", invalid="ignore"):
+                asym = np.linalg.norm(core - core.T)
+                scale = max(np.linalg.norm(core), 1e-300)
+                if asym > _SYM_TOL * scale:
+                    raise ValueError("matrix is not symmetric (relative asymmetry %.3g)"
+                                     % (asym / scale))
+                core = (core + core.T) * 0.5
+            _check_finite(core)
             core.setflags(write=False)
             self._core = core
             self._sparse = False
@@ -293,13 +301,22 @@ def symmatmul(A: SymmetricMatrix, X: np.ndarray) -> np.ndarray:
 
 
 def save_symmat(A: SymmetricMatrix, path) -> None:
-    dense = A.to_dense()
+    """Write the nonzero upper-triangle entries of ``A`` in row-major order.
+
+    A sparse core without shift is written from its stored entries, so
+    memory stays O(nnz); any other matrix goes through its dense form.
+    """
     n = A.n
     header = f"symmat n {n}"
     if A.block_dim is not None:
         header += f" blockdim {A.block_dim}"
-    iu, ju = np.triu_indices(n)
-    vals = dense[iu, ju]
+    if A.is_sparse and A.shift == 0.0:
+        upper = sp.triu(A._core, format="csr").sorted_indices()
+        iu = np.repeat(np.arange(n), np.diff(upper.indptr))
+        ju, vals = upper.indices, upper.data
+    else:
+        iu, ju = np.triu_indices(n)
+        vals = A.to_dense()[iu, ju]
     keep = vals != 0.0
     lines = [header]
     for i, j, v in zip(iu[keep], ju[keep], vals[keep]):

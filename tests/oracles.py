@@ -69,3 +69,31 @@ def fd_derivative(f_of_t, t, h, order):
         return (f_of_t(t + 2 * h) - 2.0 * f_of_t(t + h)
                 + 2.0 * f_of_t(t - h) - f_of_t(t - 2 * h)) / (2.0 * h**3)
     raise ValueError("order must be 1, 2, or 3")
+
+
+def object_gradient_ascent(A, sigma0, step, iters, grad_tol=None):
+    """Projected gradient ascent through the public geometry objects.
+
+    Each step builds the Hessian operator at a checked ``StiefelConfig``
+    (one product), takes its checked gradient tangent (what ``oc_gradient``
+    returns) and moves by ``oc_retract``.  The solver's loop runs the same
+    arithmetic on raw rows; returns ``(config, objective, grad_norm, trace)``
+    with ``trace`` the ``(iteration, objective, grad_norm)`` of every step.
+    """
+    from lowranksdp import stiefel
+
+    B = A.with_block_dim(sigma0.d)
+
+    def evaluate(config):
+        H = stiefel.OcHessianOperator(B, config)
+        g = H.gradient()
+        return config, H.objective_value(), g, g.norm
+
+    config, f, g, gn = evaluate(sigma0)
+    trace = [(0, f, gn)]
+    for it in range(1, iters + 1):
+        if (grad_tol is not None and gn <= grad_tol) or gn == 0.0:
+            break
+        config, f, g, gn = evaluate(stiefel.oc_retract(config, g, step))
+        trace.append((it, f, gn))
+    return config, f, gn, trace

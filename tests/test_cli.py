@@ -90,6 +90,15 @@ class TestSolveAndCheck:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    def test_check_nonfinite_config_is_usage_error(self, tmp_path, capsys):
+        mat = tmp_path / "m.symmat"
+        cfg = tmp_path / "nan.config"
+        run(["gen", "--model", "goe", "--n", 2, "--seed", 0, "--out", mat])
+        cfg.write_text("config n 2 k 2\nnan nan\n0 1\n")
+        assert run(["check", "--in-matrix", mat, "--in-config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestSweeps:
     def test_z2sync_rows_and_reproducibility(self, tmp_path):
         out1 = tmp_path / "z1.csv"

@@ -227,6 +227,33 @@ class TestRtrStep:
         assert nxt is cfg
         assert rec.kind == "none"
 
+    def test_trivial_tangent_space_is_noop(self):
+        # d = k = 1: nothing to search, as in solve, which returns converged
+        A = instances.goe(8, 0)
+        cfg = random_config(8, 1, 0)
+        opts = SolverOptions(k=1, epsilon=0.5)
+        nxt, rec = rtr_step(A, cfg, opts)
+        assert nxt is cfg
+        assert rec.kind == "none" and rec.step_size == 0.0
+        assert rec.objective == sphere.objective(A, cfg)
+        assert solve(A, opts, sigma0=cfg).converged
+
+    def test_gradient_step_is_the_public_retraction(self):
+        # oc_retract(sigma, grad / |grad|, ||A||_2 / (20 ||A||_1)), bit for bit
+        for seed in range(4):
+            A = instances.goe(100, seed)
+            cfg = random_config(100, 3, 7 + seed)
+            g = sphere.gradient(A, cfg)
+            assert g.norm > A.opnorm()
+            nxt, rec = rtr_step(A, cfg, SolverOptions(k=3, epsilon=1e-6))
+            eta = A.opnorm() / (20.0 * A.l1_norm())
+            unit = stiefel.StiefelTangent((1.0 / g.norm) * g.rows, cfg)
+            expect = stiefel.oc_retract(cfg, unit, eta)
+            assert rec.kind == "gradient" and rec.step_size == eta
+            assert np.array_equal(nxt.rows, expect.rows)
+            assert rec.objective == sphere.objective(A, expect)
+            assert rec.grad_norm == sphere.gradient(A, expect).norm
+
     def test_gradient_step_increment_lower_bound(self):
         # increment >= mu_G^2 / (40 ||A||_1) whenever the branch triggers
         checked = 0
@@ -447,6 +474,21 @@ class TestProjectedGradientAscent:
         A = instances.goe(10, 0)
         with pytest.raises(ValueError):
             projected_gradient_ascent(A, random_config(10, 2, 0), step=-0.1)
+
+    @pytest.mark.parametrize("d, k", [(1, 3), (3, 4)])
+    def test_bitwise_equals_object_loop(self, d, k):
+        # the raw-row loop runs the public objects' arithmetic in their order
+        A = instances.goe(40 if d == 1 else 30, 11)
+        if d > 1:
+            A = A.with_block_dim(d)
+        sig0 = stiefel.oc_random_config(A.n // d, d, k, 12)
+        step = 1.0 / (4.0 * A.l1_norm())
+        rep = projected_gradient_ascent(A, sig0, step=step, iters=300)
+        cfg, f, gn, trace = oracles.object_gradient_ascent(A, sig0, step, 300)
+        assert rep.gradient_steps == 300 and rep.sigma.d == d
+        assert np.array_equal(rep.sigma.rows, cfg.rows)
+        assert rep.objective == f and rep.grad_norm == gn
+        assert [(r.index, r.objective, r.grad_norm) for r in rep.trace] == trace
 
     def test_records_trace(self):
         A = instances.goe(15, 1)

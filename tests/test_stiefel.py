@@ -15,6 +15,7 @@ from lowranksdp.stiefel import (
     oc_random_tangent,
     oc_rayleigh,
     oc_retract,
+    read_config,
     save_oc_config,
 )
 from lowranksdp.symmat import SymmetricMatrix
@@ -47,6 +48,22 @@ class TestTypes:
         rows = np.ones((4, 3))
         with pytest.raises(ValueError):
             StiefelConfig(rows, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_rejects_nonfinite_rows(self, d, bad):
+        # NaN used to pass both checks: no comparison with NaN is True
+        cfg = oc_random_config(3, d, 4, 0)
+        tangent = oc_random_tangent(cfg, 1)
+        for row in (0, slice(None)):
+            rows = np.array(cfg.rows)
+            rows[row] = bad
+            with pytest.raises(ValueError):
+                StiefelConfig(rows, d)
+            u = np.array(tangent.rows)
+            u[row] = bad
+            with pytest.raises(ValueError):
+                StiefelTangent(u, cfg)
 
     def test_rejects_k_below_d(self):
         with pytest.raises(ValueError):
@@ -256,6 +273,14 @@ class TestSerialization:
         back = load_oc_config(path)
         assert back.d == 3
         assert np.array_equal(back.rows, cfg.rows)
+
+    @pytest.mark.parametrize("text", ["config n 2 k 2\nnan nan\n1 0\n",
+                                      "occonfig m 1 d 2 k 2\n1 0\ninf 1\n"])
+    def test_reader_rejects_nonfinite_rows(self, tmp_path, text):
+        path = tmp_path / "c.config"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            read_config(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "c.occonfig"

@@ -45,6 +45,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite"):
             SymmetricMatrix(np.eye(2), shift=bad)
 
+    def test_rejects_overflow_in_symmetrization(self):
+        # finite input whose average with its transpose overflows to inf
+        dense = np.array([[0.0, 1e308], [1e308, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            SymmetricMatrix(dense)
+        with pytest.raises(ValueError, match="finite"):
+            SymmetricMatrix(sp.csr_matrix(dense))
+
     def test_block_dim_must_divide(self):
         with pytest.raises(ValueError):
             SymmetricMatrix(np.eye(5), block_dim=2)
@@ -212,6 +220,21 @@ class TestFileFormat:
         B = load_symmat(path)
         assert B.is_sparse
         assert np.allclose(A.to_dense(), B.to_dense())
+
+    @pytest.mark.parametrize("block_dim", [None, 3])
+    def test_sparse_save_matches_dense_save(self, tmp_path, block_dim):
+        # the sparse writer reads stored entries only, yet writes the same bytes
+        core = sp.random(60, 60, density=0.05, random_state=3)
+        core = (core - core.T + 2.0 * sp.diags(np.arange(60) % 3.0)).tocsr()
+        core = core + core.T
+        core.data[::7] = 0.0  # stored zeros are not written
+        A = SymmetricMatrix(core, block_dim=block_dim)
+        assert A.is_sparse
+        sparse_path, dense_path = tmp_path / "s.symmat", tmp_path / "d.symmat"
+        save_symmat(A, sparse_path)
+        save_symmat(SymmetricMatrix(A.to_dense(), block_dim=block_dim), dense_path)
+        assert sparse_path.read_bytes() == dense_path.read_bytes()
+        assert np.array_equal(load_symmat(sparse_path).to_dense(), A.to_dense())
 
     def test_reader_mirrors_upper_triangle(self, tmp_path):
         path = tmp_path / "m.symmat"
