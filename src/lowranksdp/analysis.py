@@ -2,9 +2,11 @@
 
 The SDP optimum has no independent solver here: it is estimated by running
 the nonconvex solver at rank ceil(sqrt(2n)) + 1, where the rank-constrained
-problem is known to share the SDP's global maximum.  The estimate is itself
-a feasible objective value, hence a true lower bound; the bound checks below
-are conservative in that direction and report the slack for analysis.
+problem is known to share the SDP's global maximum.  Each solve starts from
+``solver.warm_start``, Barzilai-Borwein ascent whose steps ``pga_iters``
+caps.  The estimate is itself a feasible objective value, hence a true lower
+bound; the bound checks below are conservative in that direction and report
+the slack for analysis.
 """
 
 from __future__ import annotations
@@ -199,29 +201,15 @@ def gw_round(A_G: SymmetricMatrix, config: sphere.SphereConfig, num_samples: int
 def principal_sign(config: sphere.SphereConfig) -> np.ndarray:
     """Signs of the top left singular vector of sigma (ties map to +1).
 
-    The vector is found by power iteration on sigma^T sigma (applied through
-    sigma), which is deterministic given the fixed start.
+    The vector is sigma v for v the top eigenvector of the k x k Gram matrix
+    sigma^T sigma.  Its global sign is the eigensolver's, which squared
+    overlaps such as ``sign_correlation`` do not see.
     """
     rows = config.rows
     if config.k == 1:
         return _signs(rows[:, 0])
-    gram = rows.T @ rows
-    # fixed-seed random start: deterministic, and never orthogonal to the
-    # top eigenvector in practice (a fixed pattern like all-ones can be)
-    v = np.random.default_rng(0x5EED).standard_normal(config.k)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(10_000):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            raise ValueError("configuration is numerically rank deficient")
-        v = w / nw
-        if abs(nw - prev) <= 1e-14 * max(nw, 1.0):
-            break
-        prev = nw
-    left = rows @ v
-    return _signs(left)
+    _, vecs = np.linalg.eigh(rows.T @ rows)
+    return _signs(rows @ vecs[:, -1])
 
 
 def correlation(config: sphere.SphereConfig, u: np.ndarray) -> float:

@@ -338,13 +338,18 @@ def _add_seed_flags(p) -> None:
     p.add_argument("--num-seeds", type=int, default=1)
 
 
+_PGA_ITERS_HELP = ("steps of the pga solver; in rtr modes, the cap on the "
+                   "Barzilai-Borwein warm start's steps")
+_PGA_STEP_HELP = ("fixed step of the pga solver (default 1/(20 l1-norm)); the rtr "
+                  "warm start chooses its own steps")
+
+
 def _add_solver_flags(p, default_pga_iters=3000) -> None:
     p.add_argument("--solver", choices=_SOLVER_CHOICES, default="pga")
     p.add_argument("--budget", type=int, default=20_000,
                    help="iteration cap for rtr modes")
-    p.add_argument("--pga-iters", type=int, default=default_pga_iters)
-    p.add_argument("--pga-step", type=float, default=None,
-                   help="fixed ascent step (default 1/(20 l1-norm))")
+    p.add_argument("--pga-iters", type=int, default=default_pga_iters, help=_PGA_ITERS_HELP)
+    p.add_argument("--pga-step", type=float, default=None, help=_PGA_STEP_HELP)
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when any run fails to converge")
 
@@ -377,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifold", choices=("sphere", "stiefel"), default="sphere")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=20_000)
-    p.add_argument("--pga-iters", type=int, default=3000)
-    p.add_argument("--pga-step", type=float, default=None)
+    p.add_argument("--pga-iters", type=int, default=3000, help=_PGA_ITERS_HELP)
+    p.add_argument("--pga-step", type=float, default=None, help=_PGA_STEP_HELP)
     p.add_argument("--cold-start", action="store_true",
                    help="skip the gradient-ascent warm start")
     p.add_argument("--out", help="trace CSV path")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .symmat import SymmetricMatrix
+from .symmat import _SPARSE_DENSITY_CUTOFF, SymmetricMatrix
 
 __all__ = [
     "Instance",
@@ -26,8 +26,6 @@ __all__ = [
     "centered_regular",
     "so_sync",
 ]
-
-_SPARSE_DENSITY_CUTOFF = 0.10
 
 
 @dataclass

@@ -223,10 +223,14 @@ def _retract_rows(rows: np.ndarray, u_rows: np.ndarray, t: float, d: int) -> np.
 
 
 def oc_objective(A: SymmetricMatrix, config: StiefelConfig) -> float:
-    """The quadratic objective <sigma, A sigma> = Tr(sigma^T A sigma)."""
+    """The quadratic objective <sigma, A sigma> = Tr(Lambda).
+
+    It is summed as the solver's reports sum it, so it reproduces their
+    ``objective`` to the bit.
+    """
     if A.n != config.n:
         raise ValueError("dimension mismatch between matrix and configuration")
-    return float(row_dots(config.rows, A.dot(config.rows)).sum())
+    return _objective(_multiplier(config.rows, A.dot(config.rows), config.d), config.d)
 
 
 # The multiplier, objective and gradient from the rows and their product

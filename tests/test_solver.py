@@ -418,6 +418,13 @@ class TestSolve:
         gram = np.einsum("bik,bjk->bij", blk, blk)
         assert np.abs(gram - np.eye(3)).max() <= 1e-9
 
+    def test_stiefel_report_objective_is_oc_objective(self):
+        # the public objective sums Tr(Lambda) in the report's order, to the bit
+        A = instances.goe(30, 16).with_block_dim(3)
+        for seed in range(3):
+            rep = solve(A, SolverOptions(k=4, seed=seed, manifold="stiefel", max_iters=50))
+            assert stiefel.oc_objective(A, rep.sigma) == rep.objective
+
     def test_trace_csv(self, tmp_path):
         A = instances.goe(20, 15)
         rep = solve(A, SolverOptions(k=3, seed=0, max_iters=500))
@@ -496,3 +503,85 @@ class TestProjectedGradientAscent:
         assert len(rep.trace) == 21
         assert rep.trace[0].kind == "init"
         assert rep.trace[-1].kind == "pga"
+
+
+class TestWarmStart:
+    @staticmethod
+    def counted(monkeypatch, owner, name):
+        calls = [0]
+        orig = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("d, k", [(1, 4), (3, 6)])
+    def test_every_trial_point_is_checked(self, monkeypatch, d, k):
+        A = instances.goe(60, 3)
+        manifold = "sphere" if d == 1 else "stiefel"
+        if d > 1:
+            A = A.with_block_dim(d)
+        geom = solver._Geometry(A, k, manifold)
+        start = geom.random_point(5)
+        products = self.counted(monkeypatch, SymmetricMatrix, "dot")
+        state = geom.evaluate(start)
+        points = self.counted(monkeypatch, stiefel, "_check_point")
+        tangents = self.counted(monkeypatch, stiefel, "_check_tangent")
+        state, steps, trials = solver._bb_ascent(geom, state, 3000, 1e-3 * geom.l1)
+        assert 0 < steps <= trials
+        assert points[0] == trials and tangents[0] == trials
+        assert products[0] == trials + 1
+        assert state.grad_norm <= 1e-3 * geom.l1
+
+    def test_iters_caps_accepted_steps(self):
+        A = instances.goe(60, 3)
+        geom = solver._Geometry(A, 4, "sphere")
+        state = geom.evaluate(geom.random_point(5))
+        _, steps, trials = solver._bb_ascent(geom, state, 7, 0.0)
+        assert steps == 7 and trials >= 7
+
+    @pytest.mark.parametrize("manifold", ["sphere", "stiefel"])
+    def test_deterministic_and_draws_only_the_start(self, manifold):
+        A = instances.goe(45, 4).with_block_dim(3)
+        first = solver.warm_start(A, 5, 9, manifold=manifold)
+        assert np.array_equal(first.rows, solver.warm_start(A, 5, 9, manifold=manifold).rows)
+        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+        solver.warm_start(A, 5, rng, manifold=manifold)
+        solver.random_start(A, 5, ref, manifold)
+        assert rng.integers(2**32) == ref.integers(2**32)
+
+    def test_zero_matrix_returns_the_start(self):
+        A = SymmetricMatrix(np.zeros((12, 12)))
+        got = solver.warm_start(A, 3, 4)
+        assert np.array_equal(got.rows, solver.random_start(A, 3, 4).rows)
+
+    @pytest.mark.parametrize("n, d, k", [(300, 1, 6), (90, 3, 9)])
+    def test_reaches_tolerance_in_a_tenth_of_iters(self, n, d, k):
+        A = instances.goe(n, 0)
+        manifold = "sphere" if d == 1 else "stiefel"
+        if d > 1:
+            A = A.with_block_dim(d)
+        geom = solver._Geometry(A, k, manifold)
+        iters, tol = 3000, 1e-3 * geom.l1
+        for seed in range(2):
+            state, steps, trials = solver._bb_ascent(
+                geom, geom.evaluate(geom.random_point(seed)), iters, tol)
+            assert state.grad_norm <= tol and steps < iters / 10
+            warm = solver.warm_start(A, k, seed, manifold=manifold, iters=iters)
+            assert np.array_equal(warm.rows, state.rows)
+            step = 1.0 / (4.0 * geom.l1)
+            fixed = projected_gradient_ascent(A, geom.random_point(seed), step=step,
+                                              iters=iters, grad_tol=tol, record_every=10**9)
+            if fixed.converged:
+                # both stopped where the gradient is small, and either point may
+                # be the higher (goe(90, 3) with 3x3 blocks from start 0: BB ends
+                # 5.5e-4, 4e-6 relative, below); the same products buy BB more
+                assert state.objective >= fixed.objective - 1e-5 * abs(fixed.objective)
+                same = projected_gradient_ascent(A, geom.random_point(seed), step=step,
+                                                 iters=trials, record_every=10**9)
+                assert state.objective > same.objective
+            else:
+                assert state.objective >= fixed.objective
