@@ -6,7 +6,7 @@ curvature and the gap along an ascent trajectory (points far from the top
 always have a strongly positive curvature direction).
 """
 
-import numpy as np
+import math
 
 import lowranksdp as lr
 
@@ -30,14 +30,14 @@ def main():
     print("\ncurvature vs gap along one ascent trajectory (k = 4):")
     print(f"{'iter':>6} {'lam_max est':>12} {'2(SDP-f)/n':>12}")
     sigma = lr.random_config(n, 4, seed=42)
+    eps = lr.default_epsilon(A, 4)
     it = 0
     for burst in (25, 25, 50, 100, 200, 400, 800, 1400):
         rep = lr.projected_gradient_ascent(A, sigma, step=1 / (4 * l1), iters=burst)
         sigma = rep.sigma
         it += burst
-        hess = lr.HessianOperator(A, sigma)
-        u = lr.power_method(hess, 4 * l1, 300, seed=it)
-        lam_est = hess.rayleigh(u)
+        # a Lanczos lower bound on the top Hessian curvature
+        _, _, lam_est = lr.direction_finding(A, sigma, math.inf, epsilon=eps, seed=it)
         gap2n = 2 * (est.value_plus - rep.objective) / n
         print(f"{it:6d} {lam_est:12.4f} {gap2n:12.4f}")
     print("\nthe two columns track each other: low curvature only appears "

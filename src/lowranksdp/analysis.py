@@ -87,38 +87,38 @@ def _estimate_rank(A: SymmetricMatrix, manifold: str) -> int:
 
 
 def _one_sided_estimate(B: SymmetricMatrix, rank: int, epsilon: float, seed,
-                        manifold: str, pga_iters: int, rtr_budget: int,
-                        power_C: float, max_power_iters: int):
+                        manifold: str, pga_iters: int):
     if B.l1_norm() == 0.0:
         return 0.0, True, None
     rng = np.random.default_rng(seed)
     sigma0 = solver.warm_start(B, rank, rng, manifold=manifold, iters=pga_iters)
     opts = SolverOptions(k=rank, mode=solver.MODE_GRADIENT_EIGEN, epsilon=epsilon,
-                         max_iters=rtr_budget, power_C=power_C, seed=int(rng.integers(2**32)),
-                         manifold=manifold, max_power_iters=max_power_iters)
+                         max_iters=40, power_C=2.0, seed=int(rng.integers(2**32)),
+                         manifold=manifold, max_power_iters=200)
     report = solve(B, opts, sigma0=sigma0)
     return report.objective, report.converged, report.sigma
 
 
-def estimate_sdp(A: SymmetricMatrix, epsilon: float | None = None, seed=0, *,
-                 manifold: str = "sphere", rank: int | None = None,
-                 pga_iters: int = 2000, rtr_budget: int = 40,
-                 power_C: float = 2.0, max_power_iters: int = 200) -> SdpEstimate:
+def estimate_sdp(A: SymmetricMatrix, seed=0, *, manifold: str = "sphere",
+                 pga_iters: int = 2000) -> SdpEstimate:
     """Estimate SDP(A) and SDP(-A) by solving at rank ceil(sqrt(2n)) + 1.
 
-    Both values are feasible objectives, hence lower bounds of the true
-    optima; they are estimates, not certified optima.  Budget exhaustion, or
-    a final curvature certificate shortened by ``max_power_iters``, is
-    reported through the converged flags, never raised.
+    The rank is ceil((d+1) sqrt(m)) + 1 on a product of m Stiefel blocks of
+    size d.  Each side starts from ``solver.warm_start`` with at most
+    ``pga_iters`` ascent steps, then runs at most 40 trust-region steps
+    toward the default curvature target ``solver.default_epsilon``.  Both
+    values are feasible objectives, hence lower bounds of the true optima;
+    they are estimates, not certified optima.  Budget exhaustion, or a final
+    curvature certificate shortened by its 200-step cap, is reported through
+    the converged flags, never raised.
     """
-    rank = rank if rank is not None else _estimate_rank(A, manifold)
-    if epsilon is None:
-        epsilon = solver.default_epsilon(A, rank, manifold) if A.l1_norm() > 0.0 else 1.0
+    rank = _estimate_rank(A, manifold)
+    epsilon = solver.default_epsilon(A, rank, manifold)
     seeds = np.random.SeedSequence(seed).spawn(2)
     value_plus, ok_plus, point_plus = _one_sided_estimate(
-        A, rank, epsilon, seeds[0], manifold, pga_iters, rtr_budget, power_C, max_power_iters)
+        A, rank, epsilon, seeds[0], manifold, pga_iters)
     value_minus, ok_minus, point_minus = _one_sided_estimate(
-        -A, rank, epsilon, seeds[1], manifold, pga_iters, rtr_budget, power_C, max_power_iters)
+        -A, rank, epsilon, seeds[1], manifold, pga_iters)
     return SdpEstimate(value_plus=value_plus, value_minus=value_minus, rank_used=rank,
                        epsilon_used=epsilon, converged_plus=ok_plus, converged_minus=ok_minus,
                        point_plus=point_plus, point_minus=point_minus)

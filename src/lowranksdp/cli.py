@@ -20,30 +20,43 @@ import sys
 
 from . import analysis, instances, solver, sphere, stiefel
 from .solver import MODE_EIGEN_ONLY, MODE_GRADIENT_EIGEN, SolverOptions
-from .symmat import SymmetricMatrix, load_symmat, save_symmat
+from .symmat import load_symmat, save_symmat
 
 _SOLVER_CHOICES = ("pga", "rtr-a", "rtr-b")
 _MODE_BY_FLAG = {"rtr-a": MODE_EIGEN_ONLY, "rtr-b": MODE_GRADIENT_EIGEN}
 
 
-def _parse_seeds(args) -> list[int]:
-    if args.seeds:
-        try:
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
-        except ValueError:
-            raise SystemExit(2)
-        if not seeds:
-            raise SystemExit(2)
-        return seeds
-    return [args.base_seed + i for i in range(args.num_seeds)]
+# -- argument types: a malformed value is a usage error (exit 2) -------------------
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s.strip() != ""]
+def _list_of(convert, size=None):
+    """Argument type: a nonempty comma-separated list of ``convert`` values.
+
+    A ``size``, when given, is the exact length.  argparse reports the
+    ValueError with this type's name.
+    """
+    def parse(text: str) -> list:
+        items = [convert(s) for s in text.split(",") if s.strip() != ""]
+        if not items or size not in (None, len(items)):
+            raise ValueError(text)
+        return items
+    parse.__name__ = f"{convert.__name__} list"
+    return parse
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(s) for s in text.split(",") if s.strip() != ""]
+def _positive(convert):
+    """Argument type: a finite ``convert`` value above zero."""
+    def parse(text: str):
+        value = convert(text)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(text)
+        return value
+    parse.__name__ = f"positive {convert.__name__}"
+    return parse
+
+
+def _seeds(args) -> list[int]:
+    return args.seeds or [args.base_seed + i for i in range(args.num_seeds)]
 
 
 def _write_csv(path, header, rows) -> None:
@@ -53,24 +66,40 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _write_sweep(path, header, rows, key, strict_failure=False) -> int:
+    """Sort and write a sweep's rows; the exit code is 3 on a strict failure."""
+    rows.sort(key=key)
+    _write_csv(path, header, rows)
+    print(f"wrote {path} ({len(rows)} rows)")
+    return 3 if strict_failure else 0
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
 
 
-def _maximizer(A, k, solver_kind, seed, *, budget=None, pga_iters=3000,
-               pga_step=None, manifold="sphere", epsilon=None, warm=True):
-    """Run the chosen solver from a seeded random start; returns a report."""
-    if solver_kind == "pga":
+def _maximizer(A, k, seed, args, *, manifold="sphere", epsilon=None, warm=True):
+    """Run ``args.solver`` with the other solver flags of ``args`` from a seeded random start."""
+    if args.solver == "pga":
         return solver.projected_gradient_ascent(A, solver.random_start(A, k, seed, manifold),
-                                                step=pga_step, iters=pga_iters,
+                                                step=args.pga_step, iters=args.pga_iters,
                                                 record_every=10**9)
-    opts = SolverOptions(k=k, mode=_MODE_BY_FLAG[solver_kind], epsilon=epsilon,
-                         max_iters=budget, seed=seed, manifold=manifold,
+    opts = SolverOptions(k=k, mode=_MODE_BY_FLAG[args.solver], epsilon=epsilon,
+                         max_iters=args.budget, seed=seed, manifold=manifold,
                          max_power_iters=3000)
-    sigma0 = solver.warm_start(A, k, seed, manifold=manifold, iters=pga_iters) if warm else None
+    sigma0 = (solver.warm_start(A, k, seed, manifold=manifold, iters=args.pga_iters)
+              if warm else None)
     return solver.solve(A, opts, sigma0=sigma0)
+
+
+def _recovery(inst, seed, args):
+    """The report of a planted instance's solve and its two squared label overlaps."""
+    rep = _maximizer(inst.A, args.k, seed + 1, args)
+    corr = analysis.correlation(rep.sigma, inst.ground_truth)
+    sign_corr = (float(analysis.principal_sign(rep.sigma) @ inst.ground_truth) / args.n) ** 2
+    return rep, corr, sign_corr
 
 
 # -- gen -----------------------------------------------------------------------
@@ -95,11 +124,16 @@ def _cmd_gen(args) -> int:
         A = instances.erdos_renyi(args.n, args.d, seed)
         meta["d"] = args.d
     elif model == "regular":
+        if not args.d.is_integer():
+            print(f"error: a regular graph needs an integer degree, not --d {args.d:g}",
+                  file=sys.stderr)
+            return 2
+        d = int(args.d)
         if args.centered:
-            A = instances.centered_regular(args.n, int(args.d), seed)
+            A = instances.centered_regular(args.n, d, seed)
         else:
-            A = instances.random_regular(args.n, int(args.d), seed)
-        meta.update(d=int(args.d), centered=bool(args.centered))
+            A = instances.random_regular(args.n, d, seed)
+        meta.update(d=d, centered=bool(args.centered))
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(2)
     save_symmat(A, args.out)
@@ -120,9 +154,8 @@ def _cmd_solve(args) -> int:
     if manifold == "stiefel" and A.block_dim is None:
         print("error: stiefel solves need a matrix with a blockdim header", file=sys.stderr)
         return 2
-    rep = _maximizer(A, args.k, args.solver, args.seed, budget=args.budget,
-                     pga_iters=args.pga_iters, pga_step=args.pga_step,
-                     manifold=manifold, epsilon=args.eps, warm=not args.cold_start)
+    rep = _maximizer(A, args.k, args.seed, args, manifold=manifold, epsilon=args.eps,
+                     warm=not args.cold_start)
     if args.out:
         rep.trace_csv(args.out)
     if args.out_config:
@@ -143,12 +176,16 @@ def _cmd_check(args) -> int:
     except ValueError as exc:
         print(f"error: {args.in_config}: {exc}", file=sys.stderr)
         return 2
-    manifold = "sphere" if config.d == 1 else "stiefel"
+    # n = m d, so a matching n also means that the block size divides it
+    if config.n != A.n or solver.effective_rank(config.k, config.d) <= 1.0:
+        print(f"error: {args.in_config}: needs n = {A.n} rows in d x k blocks with "
+              f"k_d = 2k/(d+1) > 1; has n = {config.n}, d = {config.d}, k = {config.k}",
+              file=sys.stderr)
+        return 2
+    manifold = solver._manifold_of(config)
     if manifold == "stiefel" and A.block_dim != config.d:
         A = A.with_block_dim(config.d)
-    eps = args.eps
-    if eps is None:
-        eps = solver.default_epsilon(A, config.k, manifold) if A.l1_norm() > 0 else 1.0
+    eps = args.eps if args.eps is not None else solver.default_epsilon(A, config.k, manifold)
     est = analysis.estimate_sdp(A, seed=args.seed, manifold=manifold,
                                 pga_iters=args.pga_iters)
     holds, slack = analysis.grothendieck_check(A, config, eps, est)
@@ -171,101 +208,72 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_z2sync(args) -> int:
-    seeds = _parse_seeds(args)
-    lams = _parse_float_list(args.lam_grid)
     rows = []
     ok = True
-    for lam in lams:
-        for idx, seed in enumerate(seeds):
-            inst = instances.spiked(args.n, lam, seed)
-            rep = _maximizer(inst.A, args.k, args.solver, seed + 1,
-                             budget=args.budget, pga_iters=args.pga_iters,
-                             pga_step=args.pga_step)
+    for lam in args.lam_grid:
+        for seed in _seeds(args):
+            rep, corr, sign_corr = _recovery(instances.spiked(args.n, lam, seed), seed, args)
             ok = ok and rep.converged
-            corr = analysis.correlation(rep.sigma, inst.ground_truth)
-            u_hat = analysis.principal_sign(rep.sigma)
-            sign_corr = (float(u_hat @ inst.ground_truth) / args.n) ** 2
             rows.append([ "spiked", args.n, args.k, _fmt(lam), seed, args.solver,
                           _fmt(rep.objective), _fmt(rep.grad_norm), _fmt(corr),
                           _fmt(sign_corr), rep.converged])
-    rows.sort(key=lambda r: (float(r[3]), r[4]))
-    _write_csv(args.out,
-               ["model", "n", "k", "lam", "seed", "solver", "f", "grad_norm",
-                "correlation", "sign_correlation", "converged"], rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0 if (ok or not args.strict) else 3
+    return _write_sweep(args.out,
+                        ["model", "n", "k", "lam", "seed", "solver", "f", "grad_norm",
+                         "correlation", "sign_correlation", "converged"],
+                        rows, lambda r: (float(r[3]), r[4]), args.strict and not ok)
 
 
 def _cmd_sbm(args) -> int:
-    seeds = _parse_seeds(args)
-    pairs = []
-    for chunk in args.ab:
-        a_s, b_s = chunk.split(",")
-        pairs.append((float(a_s), float(b_s)))
     rows = []
     ok = True
-    for a, b in pairs:
-        for seed in seeds:
-            inst = instances.sbm(args.n, a, b, seed)
-            rep = _maximizer(inst.A, args.k, args.solver, seed + 1,
-                             budget=args.budget, pga_iters=args.pga_iters,
-                             pga_step=args.pga_step)
+    for a, b in args.ab:
+        for seed in _seeds(args):
+            rep, corr, sign_corr = _recovery(instances.sbm(args.n, a, b, seed), seed, args)
             ok = ok and rep.converged
-            corr = analysis.correlation(rep.sigma, inst.ground_truth)
-            u_hat = analysis.principal_sign(rep.sigma)
-            sign_corr = (float(u_hat @ inst.ground_truth) / args.n) ** 2
             rows.append(["sbm", args.n, args.k, _fmt(a), _fmt(b),
                          _fmt(instances.sbm_snr(a, b)), seed, args.solver,
                          _fmt(rep.objective), _fmt(corr), _fmt(sign_corr),
                          rep.converged])
-    rows.sort(key=lambda r: (float(r[3]), float(r[4]), r[6]))
-    _write_csv(args.out,
-               ["model", "n", "k", "a", "b", "snr", "seed", "solver", "f",
-                "correlation", "sign_correlation", "converged"], rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0 if (ok or not args.strict) else 3
+    return _write_sweep(args.out,
+                        ["model", "n", "k", "a", "b", "snr", "seed", "solver", "f",
+                         "correlation", "sign_correlation", "converged"],
+                        rows, lambda r: (float(r[3]), float(r[4]), r[6]),
+                        args.strict and not ok)
 
 
 def _cmd_maxcut(args) -> int:
-    seeds = _parse_seeds(args)
-    k_list = _parse_int_list(args.k_grid)
     rows = []
     ok = True
     high_rank = int(math.ceil(math.sqrt(2.0 * args.n))) + 1
-    for seed in seeds:
+    for seed in _seeds(args):
         A_G = instances.erdos_renyi(args.n, args.d, seed)
         negA = -A_G
-        for k, is_high in [(k, False) for k in k_list] + [(high_rank, True)]:
-            rep = _maximizer(negA, k, args.solver, seed + 1, budget=args.budget,
-                             pga_iters=args.pga_iters, pga_step=args.pga_step)
+        for k, is_high in [(k, False) for k in args.k_grid] + [(high_rank, True)]:
+            rep = _maximizer(negA, k, seed + 1, args)
             ok = ok and rep.converged
             rounded = analysis.gw_round(A_G, rep.sigma, args.samples, seed + 2)
             rows.append(["er", args.n, _fmt(args.d), k, is_high, seed,
                          args.solver, args.samples, _fmt(rep.objective),
                          _fmt(rounded.value), rep.converged])
-    rows.sort(key=lambda r: (r[3], r[5]))
-    _write_csv(args.out,
-               ["model", "n", "d", "k", "high_rank", "seed", "solver",
-                "samples", "f", "cut", "converged"], rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0 if (ok or not args.strict) else 3
+    return _write_sweep(args.out,
+                        ["model", "n", "d", "k", "high_rank", "seed", "solver",
+                         "samples", "f", "cut", "converged"],
+                        rows, lambda r: (r[3], r[5]), args.strict and not ok)
 
 
 def _cmd_landscape(args) -> int:
     if args.n > 2000 and not args.force:
         print("error: n > 2000 needs --force (desk-scale guard)", file=sys.stderr)
         return 2
-    seeds = _parse_seeds(args)
-    k_list = _parse_int_list(args.k_grid)
     traj_rows = []
     final_rows = []
-    for seed in seeds:
+    for seed in _seeds(args):
         A = instances.goe(args.n, seed)
         est = analysis.estimate_sdp(A, seed=seed + 10_000, pga_iters=args.pga_iters)
-        l1 = A.l1_norm()
-        for k in k_list:
+        step = args.pga_step if args.pga_step is not None else 1.0 / (20.0 * A.l1_norm())
+        for k in args.k_grid:
+            epsilon = solver.default_epsilon(A, k)
             sigma = sphere.random_config(args.n, k, seed + 1)
-            step = args.pga_step if args.pga_step else 1.0 / (20.0 * l1)
             it = 0
             while it < args.pga_iters:
                 burst = min(args.stride, args.pga_iters - it)
@@ -274,43 +282,35 @@ def _cmd_landscape(args) -> int:
                                                        record_every=10**9)
                 sigma = rep.sigma
                 it += burst
-                hess = sphere.HessianOperator(A, sigma)
-                u = solver.power_method(hess, 4.0 * l1, args.power_iters, seed + 2)
-                lam_est = hess.rayleigh(u)
+                # a Lanczos lower bound on the top Hessian curvature
+                _, _, curvature = solver.direction_finding(A, sigma, math.inf,
+                                                           epsilon=epsilon, seed=seed + 2)
                 gap2n = 2.0 * (est.value_plus - rep.objective) / args.n
-                traj_rows.append(["goe", args.n, k, seed, it, _fmt(lam_est),
+                traj_rows.append(["goe", args.n, k, seed, it, _fmt(curvature),
                                   _fmt(gap2n), _fmt(rep.objective),
                                   _fmt(rep.grad_norm)])
             final_rows.append(["goe", args.n, k, seed,
                                _fmt(est.value_plus - rep.objective),
                                _fmt(est.value_plus), _fmt(est.rg),
                                _fmt(rep.objective)])
-    traj_rows.sort(key=lambda r: (r[2], r[3], r[4]))
-    final_rows.sort(key=lambda r: (r[2], r[3]))
-    _write_csv(args.out, ["model", "n", "k", "seed", "iter", "curvature",
-                          "gap_2_over_n", "f", "grad_norm"], traj_rows)
-    final_path = str(args.out) + ".final.csv"
-    _write_csv(final_path, ["model", "n", "k", "seed", "gap", "sdp_est",
-                            "rg_est", "f"], final_rows)
-    print(f"wrote {args.out} ({len(traj_rows)} rows) and {final_path} "
-          f"({len(final_rows)} rows)")
-    return 0
+    _write_sweep(args.out, ["model", "n", "k", "seed", "iter", "curvature",
+                            "gap_2_over_n", "f", "grad_norm"],
+                 traj_rows, lambda r: (r[2], r[3], r[4]))
+    return _write_sweep(str(args.out) + ".final.csv",
+                        ["model", "n", "k", "seed", "gap", "sdp_est", "rg_est", "f"],
+                        final_rows, lambda r: (r[2], r[3]))
 
 
 def _cmd_ocsdp(args) -> int:
-    seeds = _parse_seeds(args)
-    k_list = _parse_int_list(args.k_grid)
     d = args.d
     rows = []
     ok = True
-    for seed in seeds:
+    for seed in _seeds(args):
         A = instances.goe(args.n, seed).with_block_dim(d)
         est = analysis.estimate_sdp(A, seed=seed + 10_000, manifold="stiefel",
                                     pga_iters=args.pga_iters)
-        for k in k_list:
-            rep = _maximizer(A, k, args.solver, seed + 1, budget=args.budget,
-                             pga_iters=args.pga_iters, pga_step=args.pga_step,
-                             manifold="stiefel")
+        for k in args.k_grid:
+            rep = _maximizer(A, k, seed + 1, args, manifold="stiefel")
             ok = ok and rep.converged
             k_d = solver.effective_rank(k, d)
             eps = rep.epsilon if not math.isnan(rep.epsilon) else \
@@ -320,20 +320,17 @@ def _cmd_ocsdp(args) -> int:
                          _fmt(rep.objective), _fmt(est.value_plus), _fmt(est.rg),
                          _fmt(est.value_plus - rep.objective), _fmt(slack),
                          holds, rep.converged])
-    rows.sort(key=lambda r: (r[3], r[5]))
-    _write_csv(args.out,
-               ["model", "n", "d", "k", "k_d", "seed", "solver", "f",
-                "sdp_est", "rg_est", "gap", "bound_slack", "holds", "converged"],
-               rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0 if (ok or not args.strict) else 3
+    return _write_sweep(args.out,
+                        ["model", "n", "d", "k", "k_d", "seed", "solver", "f",
+                         "sdp_est", "rg_est", "gap", "bound_slack", "holds", "converged"],
+                        rows, lambda r: (r[3], r[5]), args.strict and not ok)
 
 
 # -- parser ---------------------------------------------------------------------
 
 
 def _add_seed_flags(p) -> None:
-    p.add_argument("--seeds", help="comma-separated seed list")
+    p.add_argument("--seeds", type=_list_of(int), help="comma-separated seed list")
     p.add_argument("--base-seed", type=int, default=0)
     p.add_argument("--num-seeds", type=int, default=1)
 
@@ -344,12 +341,16 @@ _PGA_STEP_HELP = ("fixed step of the pga solver (default 1/(20 l1-norm)); the rt
                   "warm start chooses its own steps")
 
 
-def _add_solver_flags(p, default_pga_iters=3000) -> None:
+def _add_pga_flags(p) -> None:
+    p.add_argument("--pga-iters", type=int, default=3000, help=_PGA_ITERS_HELP)
+    p.add_argument("--pga-step", type=_positive(float), default=None, help=_PGA_STEP_HELP)
+
+
+def _add_solver_flags(p) -> None:
     p.add_argument("--solver", choices=_SOLVER_CHOICES, default="pga")
     p.add_argument("--budget", type=int, default=20_000,
                    help="iteration cap for rtr modes")
-    p.add_argument("--pga-iters", type=int, default=default_pga_iters, help=_PGA_ITERS_HELP)
-    p.add_argument("--pga-step", type=float, default=None, help=_PGA_STEP_HELP)
+    _add_pga_flags(p)
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when any run fails to converge")
 
@@ -382,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifold", choices=("sphere", "stiefel"), default="sphere")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=20_000)
-    p.add_argument("--pga-iters", type=int, default=3000, help=_PGA_ITERS_HELP)
-    p.add_argument("--pga-step", type=float, default=None, help=_PGA_STEP_HELP)
+    _add_pga_flags(p)
     p.add_argument("--cold-start", action="store_true",
                    help="skip the gradient-ascent warm start")
     p.add_argument("--out", help="trace CSV path")
@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("z2sync", help="correlation sweep on the spiked model")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--lam-grid", default="0.5,0.75,1.5,2")
+    p.add_argument("--lam-grid", type=_list_of(float), default="0.5,0.75,1.5,2")
     _add_seed_flags(p)
     _add_solver_flags(p)
     p.add_argument("--out", required=True)
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sbm", help="correlation sweep on the block model")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--k", type=int, default=8)
-    p.add_argument("--ab", action="append", required=True,
+    p.add_argument("--ab", type=_list_of(float, size=2), action="append", required=True,
                    help="a,b pair; repeatable")
     _add_seed_flags(p)
     _add_solver_flags(p)
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maxcut", help="cut values from rounded maximizers")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--d", type=float, default=50.0)
-    p.add_argument("--k-grid", default="2,3,4,5,6,7,8,9,10")
+    p.add_argument("--k-grid", type=_list_of(int), default="2,3,4,5,6,7,8,9,10")
     p.add_argument("--samples", type=int, default=100)
     _add_seed_flags(p)
     _add_solver_flags(p)
@@ -432,19 +432,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("landscape", help="curvature-vs-gap trajectory data")
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--k-grid", default="2,3,4,5,6,7,8,9,10")
-    p.add_argument("--stride", type=int, default=50)
-    p.add_argument("--power-iters", type=int, default=200)
+    p.add_argument("--k-grid", type=_list_of(int), default="2,3,4,5,6,7,8,9,10")
+    p.add_argument("--stride", type=_positive(int), default=50,
+                   help="ascent steps between curvature probes")
     p.add_argument("--force", action="store_true")
     _add_seed_flags(p)
-    _add_solver_flags(p)
+    p.add_argument("--pga-iters", type=_positive(int), default=3000,
+                   help="ascent steps of each trajectory; also the cap on the "
+                        "SDP estimate's warm start")
+    p.add_argument("--pga-step", type=_positive(float), default=None,
+                   help="fixed step of the trajectories (default 1/(20 l1-norm))")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_landscape)
 
     p = sub.add_parser("ocsdp", help="orthogonal-cut gap sweep")
     p.add_argument("--n", type=int, default=300)
     p.add_argument("--d", type=int, default=3)
-    p.add_argument("--k-grid", default="6,9,12,15")
+    p.add_argument("--k-grid", type=_list_of(int), default="6,9,12,15")
     _add_seed_flags(p)
     _add_solver_flags(p)
     p.add_argument("--out", required=True)

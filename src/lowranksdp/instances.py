@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .symmat import _SPARSE_DENSITY_CUTOFF, SymmetricMatrix
+from .symmat import SymmetricMatrix, _mirror, _symmat
 
 __all__ = [
     "Instance",
@@ -88,8 +87,9 @@ def sbm(n: int, a: float, b: float, seed) -> Instance:
         raise ValueError("n must be even and >= 2")
     if not 0 <= b <= a <= n:
         raise ValueError("need 0 <= b <= a <= n")
-    if a > n or b > n:
-        raise ValueError("edge probabilities a/n, b/n must not exceed 1")
+    d = (a + b) / 2.0
+    if d == 0.0:
+        raise ValueError("average degree is zero; centered scaling undefined")
     rng = np.random.default_rng(seed)
     u = np.ones(n)
     u[rng.permutation(n)[: n // 2]] = -1.0
@@ -97,15 +97,8 @@ def sbm(n: int, a: float, b: float, seed) -> Instance:
     same = u[iu] * u[ju] > 0
     prob = np.where(same, a / n, b / n)
     keep = rng.random(iu.size) < prob
-    ei, ej = iu[keep], ju[keep]
-    data = np.ones(ei.size)
-    adj = sp.coo_matrix((np.concatenate([data, data]),
-                         (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
-                        shape=(n, n)).tocsr()
+    adj = _mirror(n, iu[keep], ju[keep], np.ones(int(keep.sum()))).tocsr()
     adjacency = SymmetricMatrix(adj)
-    d = (a + b) / 2.0
-    if d == 0.0:
-        raise ValueError("average degree is zero; centered scaling undefined")
     core = adj / np.sqrt(d)
     centered = SymmetricMatrix(core, shift=-(d / n) / np.sqrt(d))
     return Instance(A=centered, ground_truth=u,
@@ -121,15 +114,7 @@ def erdos_renyi(n: int, d_avg: float, seed) -> SymmetricMatrix:
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < d_avg / n
-    ei, ej = iu[keep], ju[keep]
-    data = np.ones(ei.size)
-    adj = sp.coo_matrix((np.concatenate([data, data]),
-                         (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
-                        shape=(n, n))
-    density = 2.0 * ei.size / (n * n)
-    if density < _SPARSE_DENSITY_CUTOFF:
-        return SymmetricMatrix(adj.tocsr())
-    return SymmetricMatrix(adj.toarray())
+    return _symmat(n, iu[keep], ju[keep], np.ones(int(keep.sum())))
 
 
 def random_regular(n: int, d: int, seed) -> SymmetricMatrix:
@@ -145,8 +130,6 @@ def random_regular(n: int, d: int, seed) -> SymmetricMatrix:
     if (n * d) % 2 != 0:
         raise ValueError("n * d must be even")
     rng = np.random.default_rng(seed)
-    if d == 0:
-        return SymmetricMatrix(sp.csr_matrix((n, n)))
 
     def attempt():
         edges = set()
@@ -183,14 +166,7 @@ def random_regular(n: int, d: int, seed) -> SymmetricMatrix:
         raise RuntimeError("pairing model failed 200 consecutive restarts")
     ei = np.fromiter((e[0] for e in edges), count=len(edges), dtype=int)
     ej = np.fromiter((e[1] for e in edges), count=len(edges), dtype=int)
-    data = np.ones(ei.size)
-    adj = sp.coo_matrix((np.concatenate([data, data]),
-                         (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
-                        shape=(n, n))
-    density = 2.0 * ei.size / (n * n)
-    if density < _SPARSE_DENSITY_CUTOFF:
-        return SymmetricMatrix(adj.tocsr())
-    return SymmetricMatrix(adj.toarray())
+    return _symmat(n, ei, ej, np.ones(ei.size))
 
 
 def centered_regular(n: int, d: int, seed) -> SymmetricMatrix:

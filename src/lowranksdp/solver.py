@@ -389,7 +389,10 @@ def power_method(H, mu_H: float, N_H: int, seed):
 
     Starts from a uniformly random unit tangent and iterates
     u <- Hess[u] + mu_H * u (normalized).  ``N_H = 0`` returns the random
-    start itself.  ``seed`` may be an integer or a numpy Generator.
+    start itself.  ``seed`` may be an integer or a numpy Generator.  No solve
+    or CLI command calls it: the curvature searches run Lanczos
+    (``direction_finding``), and this is the paper's reference routine that
+    the tests check against a dense oracle.
     """
     if N_H < 0:
         raise ValueError("N_H must be nonnegative")
@@ -529,8 +532,7 @@ def _eigen_direction(state: _State, geom, opts: SolverOptions, epsilon: float,
 
 def direction_finding(A: SymmetricMatrix, config, mu_G: float, *,
                       epsilon: float, power_C: float = 8.0,
-                      lam_floor: float | None = None, seed=0,
-                      max_power_iters: int | None = None):
+                      lam_floor: float | None = None, seed=0):
     """One pass of the search-direction routine.
 
     Returns ``(u, kind, lam_h)`` with ``u`` a unit tangent: the normalized
@@ -543,7 +545,7 @@ def direction_finding(A: SymmetricMatrix, config, mu_G: float, *,
     per-search failure probability to ``n^(-power_C/8)``.  A d > 1 point
     runs on the Stiefel product, which needs ``A.block_dim == d``.
     """
-    opts = SolverOptions(k=config.k, power_C=power_C, max_power_iters=max_power_iters)
+    opts = SolverOptions(k=config.k, power_C=power_C)
     opts.validate()
     geom = _Geometry(A, config.k, _manifold_of(config))
     state = geom.evaluate(config)

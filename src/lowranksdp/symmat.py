@@ -352,13 +352,26 @@ def load_symmat(path) -> SymmetricMatrix:
     if pairs.size != i.size:
         lo, hi = divmod(int(pairs[np.argmax(counts > 1)]), n)
         raise ValueError(f"entry ({lo}, {hi}) is listed more than once")
+    return _symmat(n, i, j, v, block_dim=block_dim)
+
+
+def _mirror(n: int, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> sp.coo_matrix:
+    """The symmetric COO matrix with entries (i, j, v) and their mirrors (j, i, v).
+
+    Each unordered pair is listed once, in either orientation; diagonal
+    entries are not mirrored.
+    """
     off = i != j
-    full_i = np.concatenate([i, j[off]])
-    full_j = np.concatenate([j, i[off]])
-    full_v = np.concatenate([v, v[off]])
-    nnz = full_i.size
-    density = nnz / (n * n) if n else 0.0
-    mat = sp.coo_matrix((full_v, (full_i, full_j)), shape=(n, n))
+    return sp.coo_matrix((np.concatenate([v, v[off]]),
+                          (np.concatenate([i, j[off]]), np.concatenate([j, i[off]]))),
+                         shape=(n, n))
+
+
+def _symmat(n: int, i: np.ndarray, j: np.ndarray, v: np.ndarray,
+            block_dim: int | None = None) -> SymmetricMatrix:
+    """SymmetricMatrix of mirrored triplets: sparse below the density cutoff, dense above."""
+    mat = _mirror(n, i, j, v)
+    density = mat.nnz / (n * n) if n else 0.0
     if density < _SPARSE_DENSITY_CUTOFF:
         return SymmetricMatrix(mat.tocsr(), block_dim=block_dim)
     return SymmetricMatrix(mat.toarray(), block_dim=block_dim)

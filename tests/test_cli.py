@@ -1,12 +1,24 @@
+import csv
+
 import numpy as np
 import pytest
 
+import oracles
+from lowranksdp import analysis, instances, solver, sphere
 from lowranksdp.cli import main
 from lowranksdp.symmat import load_symmat
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def exit_code(argv):
+    """The exit code of a run, whether returned or raised by argparse."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestGen:
@@ -137,11 +149,33 @@ class TestSweeps:
     def test_landscape_writes_both_files(self, tmp_path):
         out = tmp_path / "land.csv"
         assert run(["landscape", "--n", 50, "--k-grid", "2,3", "--seeds", "0",
-                    "--pga-iters", 200, "--stride", 100, "--power-iters", 50,
-                    "--out", out]) == 0
+                    "--pga-iters", 200, "--stride", 100, "--out", out]) == 0
         assert out.exists() and (tmp_path / "land.csv.final.csv").exists()
         header = out.read_text().splitlines()[0]
         assert header == "model,n,k,seed,iter,curvature,gap_2_over_n,f,grad_norm"
+
+    def test_landscape_curvature_is_a_lanczos_bound(self, tmp_path):
+        # rebuild the last trajectory point from its seeds: the curvature
+        # column is a Lanczos lower bound within the target epsilon of the
+        # top Hessian eigenvalue
+        out = tmp_path / "land.csv"
+        assert run(["landscape", "--n", 50, "--k-grid", "2,3", "--seeds", "0",
+                    "--pga-iters", 200, "--stride", 100, "--out", out]) == 0
+        with open(out) as fh:
+            last = list(csv.DictReader(fh))[-1]
+        n, k, seed = 50, int(last["k"]), int(last["seed"])
+        assert (k, int(last["iter"])) == (3, 200)
+        A = instances.goe(n, seed)
+        sigma = sphere.random_config(n, k, seed + 1)
+        for _ in range(2):
+            rep = solver.projected_gradient_ascent(A, sigma, step=1.0 / (20.0 * A.l1_norm()),
+                                                   iters=100, record_every=10**9)
+            sigma = rep.sigma
+        assert float(last["f"]) == rep.objective
+        exact = oracles.tangent_hessian_lambda_max(A, sigma)
+        eps = solver.default_epsilon(A, k)
+        mu_H = 4.0 * A.l1_norm()
+        assert exact - eps <= float(last["curvature"]) <= exact + 1e-9 * mu_H
 
     def test_landscape_desk_guard(self, tmp_path):
         assert run(["landscape", "--n", 5000, "--k-grid", "2", "--seeds", "0",
@@ -154,3 +188,51 @@ class TestSweeps:
         rows = out.read_text().splitlines()
         assert rows[0].split(",")[:5] == ["model", "n", "d", "k", "k_d"]
         assert len(rows) == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["maxcut", "--k-grid", "2,x"],
+        ["maxcut", "--pga-step", "0"],
+        ["z2sync", "--lam-grid", "0.5,q"],
+        ["z2sync", "--seeds", "0,x"],
+        ["sbm", "--ab", "12"],
+        ["sbm", "--ab", "12,4,1"],
+        ["solve", "--in", "m.symmat", "--k", "2", "--pga-step", "-1"],
+        ["landscape", "--pga-step", "0"],
+        ["landscape", "--pga-step", "nan"],
+        ["landscape", "--stride", "0"],
+        ["landscape", "--pga-iters", "0"],
+    ])
+    def test_bad_flag_value_exits_2(self, tmp_path, argv):
+        if argv[0] != "solve":
+            argv = argv + ["--n", 20, "--out", tmp_path / "x.csv"]
+        if argv[0] == "sbm" and "--ab" not in argv:
+            argv += ["--ab", "12,4"]
+        assert exit_code(argv) == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_regular_needs_integer_degree(self, tmp_path, capsys):
+        out = tmp_path / "r.symmat"
+        assert run(["gen", "--model", "regular", "--n", 20, "--d", 3.7, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "config n 4 k 2\n" + "1 0\n" * 4,  # n differs from the matrix's 6
+        "occonfig m 1 d 4 k 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",  # d = 4 does not divide 6
+        "config n 6 k 1\n" + "1\n" * 6,  # k_d = 1: the bound is void
+    ])
+    def test_check_rejects_a_config_before_estimating(self, tmp_path, capsys, monkeypatch, text):
+        mat = tmp_path / "m.symmat"
+        cfg = tmp_path / "c.config"
+        run(["gen", "--model", "goe", "--n", 6, "--seed", 0, "--out", mat])
+        cfg.write_text(text)
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("the estimate ran before validation")
+
+        monkeypatch.setattr(analysis, "estimate_sdp", no_estimate)
+        for eps in ([], ["--eps", 0.1]):
+            assert run(["check", "--in-matrix", mat, "--in-config", cfg] + eps) == 2
+            assert capsys.readouterr().err.startswith("error: ")
