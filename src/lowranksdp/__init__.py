@@ -10,12 +10,8 @@ checkers for the standard synthetic models are included.
 
 from .symmat import (
     SymmetricMatrix,
-    NormCache,
     OpnormEstimate,
-    l1_norm,
     opnorm_estimate,
-    ddiag,
-    symmatmul,
     save_symmat,
     load_symmat,
 )

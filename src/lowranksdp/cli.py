@@ -26,7 +26,11 @@ _SOLVER_CHOICES = ("pga", "rtr-a", "rtr-b")
 _MODE_BY_FLAG = {"rtr-a": MODE_EIGEN_ONLY, "rtr-b": MODE_GRADIENT_EIGEN}
 
 
-# -- argument types: a malformed value is a usage error (exit 2) -------------------
+# -- argument checks: a malformed or out-of-range value is a usage error (exit 2) ----
+
+
+class _UsageError(Exception):
+    """A flag value the command cannot run with; ``main`` reports it and exits 2."""
 
 
 def _list_of(convert, size=None):
@@ -44,15 +48,39 @@ def _list_of(convert, size=None):
     return parse
 
 
-def _positive(convert):
-    """Argument type: a finite ``convert`` value above zero."""
+def _positive(convert, zero_ok=False):
+    """Argument type: a finite ``convert`` value above zero (or at least zero)."""
     def parse(text: str):
         value = convert(text)
-        if not (math.isfinite(value) and value > 0):
+        if not (math.isfinite(value) and (value > 0 or zero_ok and value == 0)):
             raise ValueError(text)
         return value
-    parse.__name__ = f"positive {convert.__name__}"
+    parse.__name__ = f"{'nonnegative' if zero_ok else 'positive'} {convert.__name__}"
     return parse
+
+
+def _check_ranks(ks, d=1, certified=True) -> None:
+    """Reject ranks below the block size ``d`` and, when ``certified`` (the default
+    epsilon is needed), ranks with ``k_d = 2k/(d+1) <= 1``."""
+    for k in ks:
+        if k < d or (certified and solver.effective_rank(k, d) <= 1.0):
+            raise _UsageError(f"rank {k} needs k >= d = {d}"
+                              + (" and k_d = 2k/(d+1) > 1" if certified else ""))
+
+
+def _check_sbm(n, ab_pairs) -> None:
+    """Reject an odd ``n`` and ``(a, b)`` pairs outside ``0 <= b <= a <= n``, ``a > 0``."""
+    if n % 2:
+        raise _UsageError(f"the block model needs an even n, not {n}")
+    for a, b in ab_pairs:
+        if not 0 <= b <= a <= n or a == 0:
+            raise _UsageError(f"a = {a:g}, b = {b:g}: the block model needs "
+                              f"0 <= b <= a <= n = {n} and a > 0")
+
+
+def _check_er(n, d) -> None:
+    if not 0 < d < n:
+        raise _UsageError(f"--d {d:g}: an Erdos-Renyi graph needs 0 < d < n = {n}")
 
 
 def _seeds(args) -> list[int]:
@@ -117,17 +145,18 @@ def _cmd_gen(args) -> int:
         A, ground_truth = inst.A, inst.ground_truth
         meta["lam"] = args.lam
     elif model == "sbm":
+        _check_sbm(args.n, [(args.a, args.b)])
         inst = instances.sbm(args.n, args.a, args.b, seed)
         A, ground_truth = inst.A, inst.ground_truth
         meta.update(a=args.a, b=args.b, snr=instances.sbm_snr(args.a, args.b))
     elif model == "er":
+        _check_er(args.n, args.d)
         A = instances.erdos_renyi(args.n, args.d, seed)
         meta["d"] = args.d
     elif model == "regular":
-        if not args.d.is_integer():
-            print(f"error: a regular graph needs an integer degree, not --d {args.d:g}",
-                  file=sys.stderr)
-            return 2
+        if not (args.d.is_integer() and 0 <= args.d < args.n and args.n * args.d % 2 == 0):
+            raise _UsageError(f"--d {args.d:g}: a regular graph needs an integer degree "
+                              f"0 <= d < n = {args.n} with n d even")
         d = int(args.d)
         if args.centered:
             A = instances.centered_regular(args.n, d, seed)
@@ -152,8 +181,9 @@ def _cmd_solve(args) -> int:
     A = load_symmat(args.infile)
     manifold = args.manifold
     if manifold == "stiefel" and A.block_dim is None:
-        print("error: stiefel solves need a matrix with a blockdim header", file=sys.stderr)
-        return 2
+        raise _UsageError("stiefel solves need a matrix with a blockdim header")
+    _check_ranks([args.k], A.block_dim if manifold == "stiefel" else 1,
+                 certified=args.solver != "pga" and args.eps is None)
     rep = _maximizer(A, args.k, args.seed, args, manifold=manifold, epsilon=args.eps,
                      warm=not args.cold_start)
     if args.out:
@@ -174,14 +204,12 @@ def _cmd_check(args) -> int:
     try:
         config = stiefel.read_config(args.in_config)
     except ValueError as exc:
-        print(f"error: {args.in_config}: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"{args.in_config}: {exc}") from exc
     # n = m d, so a matching n also means that the block size divides it
     if config.n != A.n or solver.effective_rank(config.k, config.d) <= 1.0:
-        print(f"error: {args.in_config}: needs n = {A.n} rows in d x k blocks with "
-              f"k_d = 2k/(d+1) > 1; has n = {config.n}, d = {config.d}, k = {config.k}",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(f"{args.in_config}: needs n = {A.n} rows in d x k blocks with "
+                          f"k_d = 2k/(d+1) > 1; has n = {config.n}, d = {config.d}, "
+                          f"k = {config.k}")
     manifold = solver._manifold_of(config)
     if manifold == "stiefel" and A.block_dim != config.d:
         A = A.with_block_dim(config.d)
@@ -208,6 +236,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_z2sync(args) -> int:
+    _check_ranks([args.k], certified=args.solver != "pga")
     rows = []
     ok = True
     for lam in args.lam_grid:
@@ -224,6 +253,8 @@ def _cmd_z2sync(args) -> int:
 
 
 def _cmd_sbm(args) -> int:
+    _check_sbm(args.n, args.ab)
+    _check_ranks([args.k], certified=args.solver != "pga")
     rows = []
     ok = True
     for a, b in args.ab:
@@ -242,6 +273,8 @@ def _cmd_sbm(args) -> int:
 
 
 def _cmd_maxcut(args) -> int:
+    _check_er(args.n, args.d)
+    _check_ranks(args.k_grid, certified=args.solver != "pga")
     rows = []
     ok = True
     high_rank = int(math.ceil(math.sqrt(2.0 * args.n))) + 1
@@ -263,8 +296,8 @@ def _cmd_maxcut(args) -> int:
 
 def _cmd_landscape(args) -> int:
     if args.n > 2000 and not args.force:
-        print("error: n > 2000 needs --force (desk-scale guard)", file=sys.stderr)
-        return 2
+        raise _UsageError("n > 2000 needs --force (desk-scale guard)")
+    _check_ranks(args.k_grid)
     traj_rows = []
     final_rows = []
     for seed in _seeds(args):
@@ -303,6 +336,9 @@ def _cmd_landscape(args) -> int:
 
 def _cmd_ocsdp(args) -> int:
     d = args.d
+    if args.n % d:
+        raise _UsageError(f"--d {d} does not divide n = {args.n}")
+    _check_ranks(args.k_grid, d)
     rows = []
     ok = True
     for seed in _seeds(args):
@@ -348,7 +384,7 @@ def _add_pga_flags(p) -> None:
 
 def _add_solver_flags(p) -> None:
     p.add_argument("--solver", choices=_SOLVER_CHOICES, default="pga")
-    p.add_argument("--budget", type=int, default=20_000,
+    p.add_argument("--budget", type=_positive(int), default=20_000,
                    help="iteration cap for rtr modes")
     _add_pga_flags(p)
     p.add_argument("--strict", action="store_true",
@@ -364,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("--model", choices=("goe", "spiked", "sbm", "er", "regular"),
                    required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive(int), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lam", type=float, default=1.0)
+    p.add_argument("--lam", type=_positive(float, zero_ok=True), default=1.0)
     p.add_argument("--a", type=float, default=10.0)
     p.add_argument("--b", type=float, default=2.0)
     p.add_argument("--d", type=float, default=10.0)
@@ -377,12 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive(int), required=True)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--mode", dest="solver", choices=_SOLVER_CHOICES, default="rtr-b")
     p.add_argument("--manifold", choices=("sphere", "stiefel"), default="sphere")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=20_000)
+    p.add_argument("--budget", type=_positive(int), default=20_000)
     _add_pga_flags(p)
     p.add_argument("--cold-start", action="store_true",
                    help="skip the gradient-ascent warm start")
@@ -402,18 +438,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("z2sync", help="correlation sweep on the spiked model")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--lam-grid", type=_list_of(float), default="0.5,0.75,1.5,2")
+    p.add_argument("--n", type=_positive(int), default=1000)
+    p.add_argument("--k", type=_positive(int), default=5)
+    p.add_argument("--lam-grid", type=_list_of(_positive(float, zero_ok=True)),
+                   default="0.5,0.75,1.5,2")
     _add_seed_flags(p)
     _add_solver_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_z2sync)
 
     p = sub.add_parser("sbm", help="correlation sweep on the block model")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--ab", type=_list_of(float, size=2), action="append", required=True,
+    p.add_argument("--n", type=_positive(int), default=1000)
+    p.add_argument("--k", type=_positive(int), default=8)
+    p.add_argument("--ab", type=_list_of(_positive(float, zero_ok=True), size=2),
+                   action="append", required=True,
                    help="a,b pair; repeatable")
     _add_seed_flags(p)
     _add_solver_flags(p)
@@ -421,18 +459,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sbm)
 
     p = sub.add_parser("maxcut", help="cut values from rounded maximizers")
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=_positive(int), default=1000)
     p.add_argument("--d", type=float, default=50.0)
-    p.add_argument("--k-grid", type=_list_of(int), default="2,3,4,5,6,7,8,9,10")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--k-grid", type=_list_of(_positive(int)), default="2,3,4,5,6,7,8,9,10")
+    p.add_argument("--samples", type=_positive(int), default=100)
     _add_seed_flags(p)
     _add_solver_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_maxcut)
 
     p = sub.add_parser("landscape", help="curvature-vs-gap trajectory data")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--k-grid", type=_list_of(int), default="2,3,4,5,6,7,8,9,10")
+    p.add_argument("--n", type=_positive(int), default=1000)
+    p.add_argument("--k-grid", type=_list_of(_positive(int)), default="2,3,4,5,6,7,8,9,10")
     p.add_argument("--stride", type=_positive(int), default=50,
                    help="ascent steps between curvature probes")
     p.add_argument("--force", action="store_true")
@@ -446,9 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_landscape)
 
     p = sub.add_parser("ocsdp", help="orthogonal-cut gap sweep")
-    p.add_argument("--n", type=int, default=300)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--k-grid", type=_list_of(int), default="6,9,12,15")
+    p.add_argument("--n", type=_positive(int), default=300)
+    p.add_argument("--d", type=_positive(int), default=3)
+    p.add_argument("--k-grid", type=_list_of(_positive(int)), default="6,9,12,15")
     _add_seed_flags(p)
     _add_solver_flags(p)
     p.add_argument("--out", required=True)
@@ -458,9 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

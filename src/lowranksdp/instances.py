@@ -174,9 +174,7 @@ def centered_regular(n: int, d: int, seed) -> SymmetricMatrix:
 
     The rank-one correction stays lazy, so mat-vecs remain O(edges + n).
     """
-    adj = random_regular(n, d, seed)
-    core = adj._core if adj.is_sparse else np.array(adj.to_dense())
-    return SymmetricMatrix(core, shift=-float(d) / n)
+    return SymmetricMatrix(random_regular(n, d, seed)._core, shift=-float(d) / n)
 
 
 def _haar_rotation(d: int, rng) -> np.ndarray:

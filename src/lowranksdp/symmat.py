@@ -8,7 +8,7 @@ cheap to multiply: a mat-vec stays O(nnz + n) instead of densifying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
 from typing import NamedTuple
 
 import numpy as np
@@ -16,25 +16,14 @@ import scipy.sparse as sp
 
 __all__ = [
     "SymmetricMatrix",
-    "NormCache",
     "OpnormEstimate",
-    "l1_norm",
     "opnorm_estimate",
-    "ddiag",
-    "symmatmul",
     "save_symmat",
     "load_symmat",
 ]
 
 _SYM_TOL = 1e-8
 _SPARSE_DENSITY_CUTOFF = 0.10
-
-
-def _check_finite(values: np.ndarray) -> None:
-    # run on the symmetrized core: NaN passes the asymmetry test (every
-    # comparison is False), and averaging can overflow finite input
-    if not np.all(np.isfinite(values)):
-        raise ValueError("matrix entries must be finite")
 
 
 class OpnormEstimate(NamedTuple):
@@ -45,13 +34,14 @@ class OpnormEstimate(NamedTuple):
     iterations: int
 
 
-@dataclass(frozen=True)
-class NormCache:
-    """Bundle of matrix norms: exact l1 and Frobenius, estimated l2."""
-
-    l1: float
-    l2_est: float
-    fro: float
+def _checked_block_dim(n: int, block_dim) -> int | None:
+    """``block_dim`` as an int, or None; it must divide ``n``."""
+    if block_dim is None:
+        return None
+    block_dim = int(block_dim)
+    if block_dim < 1 or n % block_dim != 0:
+        raise ValueError("block_dim must divide n")
+    return block_dim
 
 
 class SymmetricMatrix:
@@ -77,45 +67,31 @@ class SymmetricMatrix:
         shift = float(shift)
         if not np.isfinite(shift):
             raise ValueError("shift must be finite")
-        if sp.issparse(data):
-            core = sp.csr_matrix(data, dtype=float)
-            if core.shape[0] != core.shape[1]:
-                raise ValueError("matrix must be square")
-            with np.errstate(over="ignore", invalid="ignore"):
-                asym = sp.linalg.norm(core - core.T)
-                scale = max(sp.linalg.norm(core), 1e-300)
-                if asym > _SYM_TOL * scale:
-                    raise ValueError("matrix is not symmetric (relative asymmetry %.3g)"
-                                     % (asym / scale))
-                core = (core + core.T) * 0.5
+        sparse = sp.issparse(data)
+        core = sp.csr_matrix(data, dtype=float) if sparse else np.array(data, dtype=float)
+        if core.ndim != 2 or core.shape[0] != core.shape[1]:
+            raise ValueError("matrix must be square")
+        norm = sp.linalg.norm if sparse else np.linalg.norm
+        with np.errstate(over="ignore", invalid="ignore"):
+            asym = norm(core - core.T)
+            scale = max(norm(core), 1e-300)
+            if asym > _SYM_TOL * scale:
+                raise ValueError("matrix is not symmetric (relative asymmetry %.3g)"
+                                 % (asym / scale))
+            core = (core + core.T) * 0.5
+        if sparse:
             core.sum_duplicates()
-            _check_finite(core.data)
-            self._core = core
-            self._sparse = True
         else:
-            core = np.array(data, dtype=float)
-            if core.ndim != 2 or core.shape[0] != core.shape[1]:
-                raise ValueError("matrix must be square")
-            with np.errstate(over="ignore", invalid="ignore"):
-                asym = np.linalg.norm(core - core.T)
-                scale = max(np.linalg.norm(core), 1e-300)
-                if asym > _SYM_TOL * scale:
-                    raise ValueError("matrix is not symmetric (relative asymmetry %.3g)"
-                                     % (asym / scale))
-                core = (core + core.T) * 0.5
-            _check_finite(core)
             core.setflags(write=False)
-            self._core = core
-            self._sparse = False
+        # checked after symmetrizing: NaN passes the asymmetry test (every
+        # comparison is False), and averaging can overflow finite input
+        if not np.all(np.isfinite(core.data if sparse else core)):
+            raise ValueError("matrix entries must be finite")
+        self._core = core
+        self._sparse = sparse
         self._shift = shift
-        n = self._core.shape[0]
-        if block_dim is not None:
-            block_dim = int(block_dim)
-            if block_dim < 1 or n % block_dim != 0:
-                raise ValueError("block_dim must divide n")
-        self._block_dim = block_dim
+        self._block_dim = _checked_block_dim(core.shape[0], block_dim)
         self._l1: float | None = None
-        self._fro: float | None = None
         self._opnorm_cache: dict[tuple, OpnormEstimate] = {}
 
     # -- basic structure ---------------------------------------------------
@@ -144,28 +120,21 @@ class SymmetricMatrix:
 
     def with_block_dim(self, d: int) -> "SymmetricMatrix":
         """Same matrix viewed with d x d block structure."""
-        out = SymmetricMatrix.__new__(SymmetricMatrix)
-        out._core = self._core
-        out._sparse = self._sparse
-        out._shift = self._shift
-        if d < 1 or self.n % d != 0:
-            raise ValueError("block_dim must divide n")
-        out._block_dim = int(d)
-        out._l1 = self._l1
-        out._fro = self._fro
-        out._opnorm_cache = dict(self._opnorm_cache)
-        return out
+        return self._same_norms(self._core, self._shift, _checked_block_dim(self.n, d))
 
     def __neg__(self) -> "SymmetricMatrix":
-        out = SymmetricMatrix.__new__(SymmetricMatrix)
-        out._core = -self._core
+        return self._same_norms(-self._core, -self._shift, self._block_dim)
+
+    def _same_norms(self, core, shift: float, block_dim: int | None) -> "SymmetricMatrix":
+        """A copy with new fields that keeps the cached norms.
+
+        Only for views whose every norm is this matrix's: a negation or a
+        block view, never a new shift.
+        """
         if not self._sparse:
-            out._core.setflags(write=False)
-        out._sparse = self._sparse
-        out._shift = -self._shift
-        out._block_dim = self._block_dim
-        out._l1 = self._l1
-        out._fro = self._fro
+            core.setflags(write=False)
+        out = copy.copy(self)
+        out._core, out._shift, out._block_dim = core, shift, block_dim
         out._opnorm_cache = dict(self._opnorm_cache)
         return out
 
@@ -189,34 +158,19 @@ class SymmetricMatrix:
         return y
 
     def l1_norm(self) -> float:
+        """Exact operator l1 norm: max over columns of the absolute column sum."""
         if self._l1 is None:
             if not self._sparse:
                 eff = self._core + self._shift if self._shift != 0.0 else self._core
-                self._l1 = float(np.abs(eff).sum(axis=0).max()) if self.n else 0.0
-            elif self._shift == 0.0:
-                self._l1 = float(abs(self._core).sum(axis=0).max()) if self.n else 0.0
+                col_sums = np.abs(eff).sum(axis=0)
             else:
                 # per column: stored entries contribute |v + s|, missing ones |s|
                 coo = self._core.tocoo()
                 stored = np.bincount(coo.col, weights=np.abs(coo.data + self._shift), minlength=self.n)
                 counts = np.bincount(coo.col, minlength=self.n)
-                total = stored + (self.n - counts) * abs(self._shift)
-                self._l1 = float(total.max()) if self.n else 0.0
+                col_sums = stored + (self.n - counts) * abs(self._shift)
+            self._l1 = float(col_sums.max()) if self.n else 0.0
         return self._l1
-
-    def fro_norm(self) -> float:
-        if self._fro is None:
-            if not self._sparse:
-                eff = self._core + self._shift if self._shift != 0.0 else self._core
-                self._fro = float(np.linalg.norm(eff))
-            elif self._shift == 0.0:
-                self._fro = float(sp.linalg.norm(self._core))
-            else:
-                coo = self._core.tocoo()
-                stored = float(np.sum((coo.data + self._shift) ** 2))
-                missing = (self.n * self.n - coo.nnz) * self._shift**2
-                self._fro = float(np.sqrt(stored + missing))
-        return self._fro
 
     def opnorm(self, rel_tol: float = 1e-3, max_iters: int = 500, seed: int = 0) -> float:
         """Cached spectral norm estimate (see :func:`opnorm_estimate`)."""
@@ -224,14 +178,6 @@ class SymmetricMatrix:
         if key not in self._opnorm_cache:
             self._opnorm_cache[key] = opnorm_estimate(self, rel_tol, max_iters, seed)
         return self._opnorm_cache[key].value
-
-    def norms(self, rel_tol: float = 1e-3, max_iters: int = 500, seed: int = 0) -> NormCache:
-        return NormCache(l1=self.l1_norm(), l2_est=self.opnorm(rel_tol, max_iters, seed), fro=self.fro_norm())
-
-
-def l1_norm(A: SymmetricMatrix) -> float:
-    """Exact operator l1 norm: max over columns of the absolute column sum."""
-    return A.l1_norm()
 
 
 def opnorm_estimate(A: SymmetricMatrix, rel_tol: float = 1e-3,
@@ -277,49 +223,30 @@ def opnorm_estimate(A: SymmetricMatrix, rel_tol: float = 1e-3,
     return OpnormEstimate(est, False, max_iters)
 
 
-def ddiag(B: np.ndarray) -> np.ndarray:
-    """Zero out all entries of a square matrix except the diagonal."""
-    B = np.asarray(B)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError("ddiag requires a square matrix")
-    return np.diag(np.diag(B).copy())
-
-
-def symmatmul(A: SymmetricMatrix, X: np.ndarray) -> np.ndarray:
-    """A @ X for an n x k matrix X; sparse cores touch only stored entries."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] < 1:
-        raise ValueError("X must be n x k with k >= 1")
-    return A.dot(X)
-
-
 # -- text serialization ------------------------------------------------------
 #
-# Format: header ``symmat n <n> [blockdim <d>]`` followed by ``i j value``
-# triplets, 0-indexed.  The upper triangle is sufficient; the reader mirrors.
-# Each unordered pair {i, j} may be listed once, in either orientation.
+# Format: header ``symmat n <n> [blockdim <d>] [shift <s>]`` followed by
+# ``i j value`` triplets of the core, 0-indexed.  The upper triangle is
+# sufficient; the reader mirrors.  Each unordered pair {i, j} may be listed
+# once, in either orientation.
 
 
 def save_symmat(A: SymmetricMatrix, path) -> None:
-    """Write the nonzero upper-triangle entries of ``A`` in row-major order.
+    """Write the nonzero upper-triangle entries of ``A``'s core in row-major order.
 
-    A sparse core without shift is written from its stored entries, so
-    memory stays O(nnz); any other matrix goes through its dense form.
+    A nonzero shift goes in the header, so the file and the memory it takes
+    to write it are O(nnz) of the core for every matrix.
     """
-    n = A.n
-    header = f"symmat n {n}"
+    header = f"symmat n {A.n}"
     if A.block_dim is not None:
         header += f" blockdim {A.block_dim}"
-    if A.is_sparse and A.shift == 0.0:
-        upper = sp.triu(A._core, format="csr").sorted_indices()
-        iu = np.repeat(np.arange(n), np.diff(upper.indptr))
-        ju, vals = upper.indices, upper.data
-    else:
-        iu, ju = np.triu_indices(n)
-        vals = A.to_dense()[iu, ju]
-    keep = vals != 0.0
+    if A.shift != 0.0:
+        header += f" shift {A.shift:.17g}"
+    upper = sp.triu(A._core, format="csr").sorted_indices()
+    iu = np.repeat(np.arange(A.n), np.diff(upper.indptr))
+    keep = upper.data != 0.0
     lines = [header]
-    for i, j, v in zip(iu[keep], ju[keep], vals[keep]):
+    for i, j, v in zip(iu[keep], upper.indices[keep], upper.data[keep]):
         lines.append(f"{i} {j} {v:.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -328,12 +255,18 @@ def save_symmat(A: SymmetricMatrix, path) -> None:
 def load_symmat(path) -> SymmetricMatrix:
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) < 3 or header[0] != "symmat" or header[1] != "n":
+        if header[:1] != ["symmat"] or len(header) % 2 != 1:
             raise ValueError("not a symmat file: bad header")
-        n = int(header[2])
-        block_dim = None
-        if len(header) >= 5 and header[3] == "blockdim":
-            block_dim = int(header[4])
+        fields = {}
+        for key, value in zip(header[1::2], header[2::2]):
+            if key not in ("n", "blockdim", "shift") or key in fields:
+                raise ValueError(f"bad symmat header: unknown or repeated field {key!r}")
+            fields[key] = value
+        if "n" not in fields:
+            raise ValueError("bad symmat header: no n field")
+        n = int(fields["n"])
+        block_dim = int(fields["blockdim"]) if "blockdim" in fields else None
+        shift = float(fields.get("shift", 0.0))
         rows, cols, vals = [], [], []
         for line in fh:
             line = line.strip()
@@ -352,7 +285,7 @@ def load_symmat(path) -> SymmetricMatrix:
     if pairs.size != i.size:
         lo, hi = divmod(int(pairs[np.argmax(counts > 1)]), n)
         raise ValueError(f"entry ({lo}, {hi}) is listed more than once")
-    return _symmat(n, i, j, v, block_dim=block_dim)
+    return _symmat(n, i, j, v, shift=shift, block_dim=block_dim)
 
 
 def _mirror(n: int, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> sp.coo_matrix:
@@ -368,10 +301,9 @@ def _mirror(n: int, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> sp.coo_matri
 
 
 def _symmat(n: int, i: np.ndarray, j: np.ndarray, v: np.ndarray,
-            block_dim: int | None = None) -> SymmetricMatrix:
+            shift: float = 0.0, block_dim: int | None = None) -> SymmetricMatrix:
     """SymmetricMatrix of mirrored triplets: sparse below the density cutoff, dense above."""
     mat = _mirror(n, i, j, v)
     density = mat.nnz / (n * n) if n else 0.0
-    if density < _SPARSE_DENSITY_CUTOFF:
-        return SymmetricMatrix(mat.tocsr(), block_dim=block_dim)
-    return SymmetricMatrix(mat.toarray(), block_dim=block_dim)
+    core = mat.tocsr() if density < _SPARSE_DENSITY_CUTOFF else mat.toarray()
+    return SymmetricMatrix(core, shift=shift, block_dim=block_dim)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from lowranksdp import analysis, instances, solver, sphere
+from lowranksdp import analysis, cli, instances, solver, sphere
 from lowranksdp.cli import main
 from lowranksdp.symmat import load_symmat
 
@@ -91,6 +91,18 @@ class TestSolveAndCheck:
                     "--pga-iters", 500, "--out", out]) == 0
         header = out.read_text().splitlines()[0]
         assert header.startswith("model,n,k,seed,eps,f,sdp_est")
+
+    def test_generated_sbm_keeps_its_lazy_shift(self, tmp_path, monkeypatch):
+        # the file holds the sparse core and the shift, so a solve from it is the
+        # in-memory solve bit for bit
+        mat = tmp_path / "sbm.symmat"
+        run(["gen", "--model", "sbm", "--n", 200, "--a", 12, "--b", 4, "--seed", 3,
+             "--out", mat])
+        solve = ["solve", "--in", mat, "--k", 4, "--seed", 1, "--pga-iters", 300, "--out-config"]
+        assert run(solve + [tmp_path / "file.config"]) == 0
+        monkeypatch.setattr(cli, "load_symmat", lambda path: instances.sbm(200, 12, 4, 3).A)
+        assert run(solve + [tmp_path / "memory.config"]) == 0
+        assert (tmp_path / "file.config").read_bytes() == (tmp_path / "memory.config").read_bytes()
 
     @pytest.mark.parametrize("text", ["", "configuration n 2 k 2\n1 0\n0 1\n"])
     def test_check_bad_config_is_usage_error(self, tmp_path, capsys, text):
@@ -203,14 +215,58 @@ class TestUsageErrors:
         ["landscape", "--pga-step", "nan"],
         ["landscape", "--stride", "0"],
         ["landscape", "--pga-iters", "0"],
+        # values that parse but lie out of range
+        ["sbm", "--ab", "4,12"],
+        ["sbm", "--ab", "0,0"],
+        ["sbm", "--n", "21"],
+        ["sbm", "--k", "1", "--solver", "rtr-b"],
+        ["landscape", "--k-grid", "1"],
+        ["ocsdp", "--n", "24", "--d", "3", "--k-grid", "2"],
+        ["ocsdp", "--d", "3"],  # 3 does not divide 20
+        ["z2sync", "--lam-grid", "nan"],
+        ["z2sync", "--lam-grid", "-1"],
+        ["z2sync", "--k", "0"],
+        ["maxcut", "--n", "20", "--d", "30"],
+        ["maxcut", "--d", "5", "--samples", "0"],
+        ["maxcut", "--d", "5", "--k-grid", "1", "--solver", "rtr-a"],
+        ["gen", "--model", "spiked", "--lam", "-1"],
     ])
-    def test_bad_flag_value_exits_2(self, tmp_path, argv):
+    def test_bad_flag_value_exits_2(self, tmp_path, monkeypatch, argv):
+        if argv[0] != "solve" and "--n" not in argv:
+            argv = argv + ["--n", 20]
         if argv[0] != "solve":
-            argv = argv + ["--n", 20, "--out", tmp_path / "x.csv"]
+            argv = argv + ["--out", tmp_path / "x.csv"]
         if argv[0] == "sbm" and "--ab" not in argv:
             argv += ["--ab", "12,4"]
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an instance was drawn before validation")
+
+        for name in ("goe", "spiked", "sbm", "erdos_renyi"):
+            monkeypatch.setattr(instances, name, no_draw)
         assert exit_code(argv) == 2
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("header, argv", [
+        ("symmat n 6", ["--k", 1]),  # k_d = 1 leaves no default epsilon
+        ("symmat n 6 blockdim 3", ["--k", 2, "--manifold", "stiefel", "--mode", "pga"]),
+    ])
+    def test_solve_rejects_a_rank(self, tmp_path, capsys, header, argv):
+        mat = tmp_path / "m.symmat"
+        mat.write_text(header + "\n0 0 1\n")
+        assert run(["solve", "--in", mat] + argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "sbm", "--a", "4", "--b", "12"],
+        ["--model", "er", "--d", "30"],
+        ["--model", "regular", "--d", "3", "--n", "21"],
+    ])
+    def test_gen_rejects_model_parameters(self, tmp_path, capsys, argv):
+        out = tmp_path / "m.symmat"
+        assert run(["gen", "--n", 20] + argv + ["--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_regular_needs_integer_degree(self, tmp_path, capsys):
         out = tmp_path / "r.symmat"

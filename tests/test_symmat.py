@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from lowranksdp import instances
 from lowranksdp.symmat import (
     SymmetricMatrix,
-    ddiag,
-    l1_norm,
     load_symmat,
     opnorm_estimate,
     save_symmat,
-    symmatmul,
 )
 
 
@@ -72,17 +70,17 @@ class TestConstruction:
 
 class TestL1Norm:
     def test_zero_matrix(self):
-        assert l1_norm(SymmetricMatrix(np.zeros((3, 3)))) == 0.0
+        assert SymmetricMatrix(np.zeros((3, 3))).l1_norm() == 0.0
 
     def test_single_offdiagonal_pair(self):
-        assert l1_norm(SymmetricMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))) == 1.0
+        assert SymmetricMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])).l1_norm() == 1.0
 
     def test_complete_graph_k4(self):
         # direct column-sum enumeration: each column of K4 has three ones
         A = complete_graph(4)
         cols = np.abs(A.to_dense()).sum(axis=0)
         assert cols.max() == 3.0
-        assert l1_norm(A) == 3.0
+        assert A.l1_norm() == 3.0
 
     def test_shifted_sparse_matches_dense(self):
         rng = np.random.default_rng(0)
@@ -90,8 +88,7 @@ class TestL1Norm:
         core = core + core.T
         A = SymmetricMatrix(core.tocsr(), shift=-0.37)
         dense = SymmetricMatrix(A.to_dense())
-        assert l1_norm(A) == pytest.approx(l1_norm(dense), rel=1e-12)
-        assert A.fro_norm() == pytest.approx(dense.fro_norm(), rel=1e-12)
+        assert A.l1_norm() == pytest.approx(dense.l1_norm(), rel=1e-12)
 
 
 class TestOpnorm:
@@ -121,59 +118,22 @@ class TestOpnorm:
             rng = np.random.default_rng(seed)
             m = rng.standard_normal((30, 30))
             A = SymmetricMatrix((m + m.T) / 2)
-            assert A.opnorm() <= l1_norm(A) + 1e-12
-
-    def test_norm_cache_ordering(self):
-        rng = np.random.default_rng(2)
-        m = rng.standard_normal((25, 25))
-        A = SymmetricMatrix((m + m.T) / 2)
-        cache = A.norms(rel_tol=1e-3)
-        assert cache.l1 >= cache.l2_est * (1 - 1e-3) >= 0
-        assert cache.fro >= cache.l2_est * (1 - 1e-3)
+            assert A.opnorm() <= A.l1_norm() + 1e-12
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             opnorm_estimate(SymmetricMatrix(np.eye(2)), rel_tol=1.5)
 
 
-class TestDdiag:
-    def test_basic(self):
-        out = ddiag(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(out, np.array([[1.0, 0.0], [0.0, 4.0]]))
-
-    def test_diagonal_fixed_point(self):
-        d = np.diag([1.0, -2.0, 3.0])
-        assert np.array_equal(ddiag(d), d)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(0)
-        b = rng.standard_normal((6, 6))
-        assert np.array_equal(ddiag(ddiag(b)), ddiag(b))
-
-    def test_matches_entrywise_loop(self):
-        rng = np.random.default_rng(1)
-        sig = rng.standard_normal((5, 3))
-        m = rng.standard_normal((5, 5))
-        b = sig @ sig.T @ m
-        expect = np.zeros_like(b)
-        for i in range(5):
-            expect[i, i] = b[i, i]
-        assert np.allclose(ddiag(b), expect, atol=1e-14)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            ddiag(np.ones((2, 3)))
-
-
 class TestSymmatmul:
     def test_identity(self):
         A = SymmetricMatrix(np.eye(4))
         x = np.arange(8.0).reshape(4, 2)
-        assert np.array_equal(symmatmul(A, x), x)
+        assert np.array_equal(A.dot(x), x)
 
     def test_zero(self):
         A = SymmetricMatrix(np.zeros((4, 4)))
-        assert np.all(symmatmul(A, np.ones((4, 2))) == 0.0)
+        assert np.all(A.dot(np.ones((4, 2))) == 0.0)
 
     def test_sparse_matches_densified_oracle(self):
         rng = np.random.default_rng(5)
@@ -182,7 +142,7 @@ class TestSymmatmul:
         A = SymmetricMatrix(core.tocsr())
         x = rng.standard_normal((50, 3))
         oracle = A.to_dense() @ x
-        got = symmatmul(A, x)
+        got = A.dot(x)
         assert np.linalg.norm(got - oracle) <= 1e-12 * max(np.linalg.norm(oracle), 1.0)
 
     def test_shifted_matvec_matches_dense(self):
@@ -197,7 +157,7 @@ class TestSymmatmul:
     def test_dimension_mismatch(self):
         A = SymmetricMatrix(np.eye(3))
         with pytest.raises(ValueError):
-            symmatmul(A, np.ones((4, 2)))
+            A.dot(np.ones((4, 2)))
 
 
 class TestFileFormat:
@@ -228,13 +188,15 @@ class TestFileFormat:
         core = (core - core.T + 2.0 * sp.diags(np.arange(60) % 3.0)).tocsr()
         core = core + core.T
         core.data[::7] = 0.0  # stored zeros are not written
-        A = SymmetricMatrix(core, block_dim=block_dim)
-        assert A.is_sparse
-        sparse_path, dense_path = tmp_path / "s.symmat", tmp_path / "d.symmat"
-        save_symmat(A, sparse_path)
-        save_symmat(SymmetricMatrix(A.to_dense(), block_dim=block_dim), dense_path)
-        assert sparse_path.read_bytes() == dense_path.read_bytes()
-        assert np.array_equal(load_symmat(sparse_path).to_dense(), A.to_dense())
+        for shift in (0.0, -0.25):  # a shift goes in the header, not into the triplets
+            A = SymmetricMatrix(core, shift=shift, block_dim=block_dim)
+            assert A.is_sparse
+            sparse_path, dense_path = tmp_path / "s.symmat", tmp_path / "d.symmat"
+            save_symmat(A, sparse_path)
+            save_symmat(SymmetricMatrix(core.toarray(), shift=shift, block_dim=block_dim),
+                        dense_path)
+            assert sparse_path.read_bytes() == dense_path.read_bytes()
+            assert np.array_equal(load_symmat(sparse_path).to_dense(), A.to_dense())
 
     def test_reader_mirrors_upper_triangle(self, tmp_path):
         path = tmp_path / "m.symmat"
@@ -256,8 +218,35 @@ class TestFileFormat:
         with pytest.raises(ValueError):
             load_symmat(path)
 
+    @pytest.mark.parametrize("make", [
+        lambda: instances.sbm(200, 12, 4, 0).A,
+        lambda: instances.centered_regular(100, 4, 1),
+        lambda: SymmetricMatrix(np.add.outer(np.arange(4.0), np.arange(4.0)) % 3 - 1, shift=-0.3),
+    ], ids=["sbm", "centered-regular", "dense-core"])
+    def test_round_trip_keeps_lazy_shift(self, tmp_path, make):
+        A = make()
+        path = tmp_path / "a.symmat"
+        save_symmat(A, path)
+        B = load_symmat(path)
+        assert B.is_sparse == A.is_sparse and B.shift == A.shift != 0.0
+        if A.is_sparse:
+            for field in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(B._core, field), getattr(A._core, field))
+        else:
+            assert np.array_equal(B._core, A._core)
+        x = np.random.default_rng(0).standard_normal((A.n, 3))
+        assert np.array_equal(B.dot(x), A.dot(x))
+        assert B.l1_norm() == A.l1_norm()
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.symmat"
-        path.write_text("wrong 2\n")
-        with pytest.raises(ValueError):
-            load_symmat(path)
+        for header in ["wrong 2",
+                       "symmat n",  # no value for n
+                       "symmat n 3 blockdim",  # no value for blockdim
+                       "symmat n 4 blockdim 2 junk 7",  # unknown field
+                       "symmat n 4 shift 1 shift 2",  # repeated field
+                       "symmat blockdim 2",  # no n
+                       "symmat n 2 shift nan"]:
+            path.write_text(header + "\n0 1 1\n")
+            with pytest.raises(ValueError):
+                load_symmat(path)
