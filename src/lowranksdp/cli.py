@@ -177,8 +177,16 @@ def _cmd_gen(args) -> int:
 # -- solve ---------------------------------------------------------------------
 
 
+def _read(read, path):
+    """``read(path)``; a file that cannot be opened or parsed is a usage error."""
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"{path}: {exc.strerror if isinstance(exc, OSError) else exc}") from exc
+
+
 def _cmd_solve(args) -> int:
-    A = load_symmat(args.infile)
+    A = _read(load_symmat, args.infile)
     manifold = args.manifold
     if manifold == "stiefel" and A.block_dim is None:
         raise _UsageError("stiefel solves need a matrix with a blockdim header")
@@ -200,11 +208,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    A = load_symmat(args.in_matrix)
-    try:
-        config = stiefel.read_config(args.in_config)
-    except ValueError as exc:
-        raise _UsageError(f"{args.in_config}: {exc}") from exc
+    A = _read(load_symmat, args.in_matrix)
+    config = _read(stiefel.read_config, args.in_config)
     # n = m d, so a matching n also means that the block size divides it
     if config.n != A.n or solver.effective_rank(config.k, config.d) <= 1.0:
         raise _UsageError(f"{args.in_config}: needs n = {A.n} rows in d x k blocks with "

@@ -16,8 +16,12 @@ epsilon; the certificate is retried once with a fresh start before
 convergence is declared.  The number of Lanczos steps comes from the
 Kuczynski-Wozniakowski random-start bound (SIAM J. Matrix Anal. Appl. 1992),
 so it grows like log(n) / sqrt(epsilon) where the power method's grows like
-log(n) / epsilon.  The fixed-step projected-gradient-ascent baseline of the
-paper shares the report format.
+log(n) / epsilon.  Where a certificate is expected (before the first eigen
+step of a solve) the search and its retry run side by side: two independent
+recurrences, each with its own start, step count, tridiagonal and
+certificate, whose products share one call ``A @ [V1 V2]``.  Such a pair
+counts 2 x steps Krylov steps but takes steps products.  The fixed-step
+projected-gradient-ascent baseline of the paper shares the report format.
 
 There is one geometry, the frame product of ``stiefel``: the default
 ``manifold="sphere"`` is its d = 1 case, the product of spheres, and
@@ -118,6 +122,7 @@ class StepRecord:
     objective: float
     grad_norm: float
     lam_h: float = math.nan
+    krylov_steps: int = 0  # Lanczos steps of the step's curvature searches
 
 
 @dataclass
@@ -126,7 +131,10 @@ class SolveReport:
 
     ``krylov_steps`` totals the Lanczos steps of every curvature search
     (one Hessian product each; a stepping direction replays its run once
-    more to rebuild the Ritz vector).  ``cap_hit`` records whether
+    more to rebuild the Ritz vector).  A search and its retry run side by
+    side count 2 x steps but share steps products ``A @ [V1 V2]``; a retry
+    dropped because the search beside it did not certify is not counted.
+    ``cap_hit`` records whether
     ``max_power_iters`` shortened any step count below the one the
     analysis asks for; a solve whose final certificate was shortened is
     not reported as converged.
@@ -165,11 +173,12 @@ class SolveReport:
 
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["iteration", "f", "grad_norm", "kind", "step", "lam_h"])
+            writer.writerow(["iteration", "f", "grad_norm", "kind", "step", "lam_h",
+                             "krylov_steps"])
             for rec in self.trace:
                 writer.writerow([rec.index, f"{rec.objective:.17g}",
                                  f"{rec.grad_norm:.17g}", rec.kind, f"{rec.step_size:.17g}",
-                                 f"{rec.lam_h:.17g}"])
+                                 f"{rec.lam_h:.17g}", rec.krylov_steps])
             writer.writerow(["# " + self.summary_line()])
 
 
@@ -443,41 +452,60 @@ def _krylov_step_count(opts: SolverOptions, n: int, dim: int, mu_H: float,
     return steps, False
 
 
-def _lanczos_tridiagonal(H, mu_H: float, project, start: np.ndarray, steps: int):
-    """Three-term Lanczos recurrence on Hess + mu_H I from unit tangent rows.
+def _lanczos_tridiagonal(H, mu_H: float, project, starts, steps: int):
+    """Three-term Lanczos recurrences on Hess + mu_H I, one per unit tangent start.
 
-    Only the last two basis vectors are held, so memory stays O(D).  Each new
-    vector is projected back onto the tangent space with ``project``: the
-    shifted operator acts on the normal space as mu_H, at the top of the
-    tangent spectrum once the curvature is small, so roundoff there would
-    grow like a top eigencomponent and push Ritz values above the spectrum.
-    Returns the diagonal and off-diagonal of the tridiagonal matrix, stopping
-    early when the Krylov space closes.
+    The recurrences are independent, but each step multiplies all their
+    current vectors by A in one call, ``A @ [v_1 v_2 ...]``: the product is
+    bound by reading A, so at small widths the extra columns cost far less
+    than a second call.  A recurrence whose Krylov space closes stops there,
+    and the others go on at their own width.  Only the last two basis vectors of each are
+    held, so memory stays O(D) per start.  Each new vector is projected back
+    onto the tangent space with ``project``: the shifted operator acts on the
+    normal space as mu_H, at the top of the tangent spectrum once the
+    curvature is small, so roundoff there would grow like a top
+    eigencomponent and push Ritz values above the spectrum.  Returns the
+    diagonal and off-diagonal of each tridiagonal matrix, in the order of
+    ``starts``.
     """
-    alpha: list[float] = []
-    beta: list[float] = []
-    v_prev, v = None, start
+    k = starts[0].shape[1]
+    alpha: list[list[float]] = [[] for _ in starts]
+    beta: list[list[float]] = [[] for _ in starts]
+    v_prev, v = [None] * len(starts), list(starts)
+    live = list(range(len(starts)))
     for j in range(steps):
-        w = H.apply_rows(v) + mu_H * v
-        if v_prev is not None:
-            w -= beta[-1] * v_prev
-        alpha.append(float(np.sum(w * v)))
-        w = project(w - alpha[-1] * v)
-        b = float(np.linalg.norm(w))
-        if j + 1 == steps or b <= _BREAKDOWN * mu_H:
+        block = v[live[0]] if len(live) == 1 else np.hstack([v[i] for i in live])
+        products = H.A.dot(block)
+        going = []
+        for c, i in enumerate(live):
+            w = H._apply_product(v[i], products[:, c * k:(c + 1) * k]) + mu_H * v[i]
+            if v_prev[i] is not None:
+                w -= beta[i][-1] * v_prev[i]
+            alpha[i].append(float(np.sum(w * v[i])))
+            w = project(w - alpha[i][-1] * v[i])
+            b = float(np.linalg.norm(w))
+            if j + 1 == steps or b <= _BREAKDOWN * mu_H:
+                continue
+            beta[i].append(b)
+            v_prev[i], v[i] = v[i], w / b
+            going.append(i)
+        live = going
+        if not live:
             break
-        beta.append(b)
-        v_prev, v = v, w / b
-    return np.array(alpha), np.array(beta)
+    return [(np.array(a), np.array(b)) for a, b in zip(alpha, beta)]
 
 
 def _lanczos_combination(H, mu_H: float, project, start: np.ndarray, alpha: np.ndarray,
                          beta: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_j coef_j v_j over the Lanczos basis of ``_lanczos_tridiagonal``.
+    """sum_j coef_j v_j over the Lanczos basis that ``_lanczos_tridiagonal``
+    built from ``start``.
 
-    Replays the recurrence from the same start with the stored coefficients,
-    in the same order of operations, so the basis is rebuilt bit for bit at
-    the cost of len(alpha) - 1 products.
+    Replays that recurrence alone with the stored coefficients, in the same
+    order of operations, at the cost of len(alpha) - 1 products.  The basis is
+    rebuilt bit for bit when the start ran alone, and when it ran beside
+    another wherever a column of the wider product equals the product of that
+    column alone (CSR products; dense BLAS products at some shapes differ in
+    roundoff, and so does the rebuilt basis).
     """
     out = coef[0] * start
     v_prev, v = None, start
@@ -502,32 +530,44 @@ class _Search(NamedTuple):
 
 
 def _eigen_direction(state: _State, geom, opts: SolverOptions, epsilon: float,
-                     lam_prev: float | None, rng) -> _Search:
+                     lam_prev: float | None, rng, pair: bool = False) -> list[_Search]:
     """Top-curvature search by Lanczos from a random unit tangent.
 
     When the top Ritz value certifies curvature at most ``epsilon``, ``lam_h``
     is that value and ``u`` the start vector, whose curvature it bounds.
     Otherwise ``u`` is the Ritz vector, rebuilt by a second pass and
     re-projected onto the tangent space, and ``lam_h`` its Rayleigh quotient.
+
+    ``pair`` runs the certificate's retry beside it: a second search from the
+    next start drawn from ``rng``, with the same step count, whose products
+    share the first one's calls.  The searches are returned in order up to the
+    first that does not certify; a retry behind a first search that did not
+    certify is dropped unread, so only one Ritz vector is ever rebuilt.
     """
     H, mu_H = state.hess, geom.mu_H
-    u = H.random_tangent(rng)
+    starts = [H.random_tangent(rng) for _ in range(1 + pair)]
     steps, capped = _krylov_step_count(opts, geom.n, geom.tangent_dim(), mu_H,
                                        epsilon, lam_prev)
     project = functools.partial(stiefel.project_rows, state.config)
-    alpha, beta = _lanczos_tridiagonal(H, mu_H, project, u.rows, steps)
-    # the tridiagonal is small (the step count), so a dense solve is cheap
-    # and keeps scipy.linalg out of the process
-    theta, coef = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-    lam_h = float(theta[-1]) - mu_H
-    certified = lam_h <= epsilon
-    if not certified:
-        rows = project(_lanczos_combination(H, mu_H, project, u.rows, alpha, beta, coef[:, -1]))
-        u = type(u)(rows / np.linalg.norm(rows), state.config)
-        lam_h = H.rayleigh(u)
-    if float(np.sum(u.rows * state.grad)) < 0.0:
-        u = _scaled(u, -1.0)
-    return _Search(u, lam_h, certified, int(alpha.size), capped)
+    runs = _lanczos_tridiagonal(H, mu_H, project, [u.rows for u in starts], steps)
+    searches = []
+    for u, (alpha, beta) in zip(starts, runs):
+        # the tridiagonal is small (the step count), so a dense solve is cheap
+        # and keeps scipy.linalg out of the process
+        theta, coef = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        lam_h = float(theta[-1]) - mu_H
+        certified = lam_h <= epsilon
+        if not certified:
+            rows = project(_lanczos_combination(H, mu_H, project, u.rows, alpha, beta,
+                                                coef[:, -1]))
+            u = type(u)(rows / np.linalg.norm(rows), state.config)
+            lam_h = H.rayleigh(u)
+        if float(np.sum(u.rows * state.grad)) < 0.0:
+            u = _scaled(u, -1.0)
+        searches.append(_Search(u, lam_h, certified, int(alpha.size), capped))
+        if not certified:
+            break
+    return searches
 
 
 def direction_finding(A: SymmetricMatrix, config, mu_G: float, *,
@@ -553,7 +593,7 @@ def direction_finding(A: SymmetricMatrix, config, mu_G: float, *,
     if state.grad_norm > mu_G:
         u = stiefel.StiefelTangent((1.0 / state.grad_norm) * state.grad, state.config)
         return u, "gradient", state.hess.rayleigh(u)
-    search = _eigen_direction(state, geom, opts, epsilon, lam_floor, rng)
+    search = _eigen_direction(state, geom, opts, epsilon, lam_floor, rng)[0]
     return search.u, "eigen", search.lam_h
 
 
@@ -576,7 +616,10 @@ def _step(state: _State, geom: _Geometry, opts: SolverOptions, epsilon: float,
     A search that certifies curvature at most ``epsilon`` is retried once
     from a fresh start (a random start fails with small probability; the
     same ``lam_prev`` gives the same count), and a second certificate means
-    kind ``"none"`` with ``lam_h`` the larger bound.
+    kind ``"none"`` with ``lam_h`` the larger bound.  Before the first eigen
+    step of a solve (``lam_prev is None``) a certificate is the likely
+    outcome, so the retry runs beside the search (``_eigen_direction`` with
+    ``pair``): both together take the products of one.
     """
     l1 = geom.l1
     if opts.mode == MODE_GRADIENT_EIGEN and state.grad_norm > geom.A.opnorm():
@@ -584,15 +627,15 @@ def _step(state: _State, geom: _Geometry, opts: SolverOptions, epsilon: float,
         u = (1.0 / state.grad_norm) * state.grad
         stiefel._check_tangent(u, state.rows, geom.d)
         return _Step("gradient", eta, geom.advance(state, u, eta), math.nan, 0, False)
-    search = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
-    krylov_steps = search.steps
+    searches = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng,
+                                pair=lam_prev is None)
+    if searches[-1].certified and len(searches) == 1:
+        searches += _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
+    krylov_steps = sum(search.steps for search in searches)
+    search = searches[-1]
     if search.certified:
-        retry = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
-        krylov_steps += retry.steps
-        if retry.certified:
-            return _Step("none", 0.0, state, max(search.lam_h, retry.lam_h),
-                         krylov_steps, search.capped)
-        search = retry
+        return _Step("none", 0.0, state, max(s.lam_h for s in searches), krylov_steps,
+                     searches[0].capped)
     lam_h = search.lam_h
     if opts.mode == MODE_EIGEN_ONLY:
         eta = lam_h / (100.0 * l1)
@@ -619,7 +662,7 @@ def rtr_step(A: SymmetricMatrix, config, opts: SolverOptions, *,
     epsilon = opts.epsilon if opts.epsilon is not None else default_epsilon(A, opts.k, opts.manifold)
     step = _step(state, geom, opts, epsilon, lam_prev, rng)
     return step.state.config, StepRecord(0, step.kind, step.eta, step.state.objective,
-                                         step.state.grad_norm, step.lam_h)
+                                         step.state.grad_norm, step.lam_h, step.krylov_steps)
 
 
 # -- full solves -----------------------------------------------------------------
@@ -668,10 +711,10 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None) -> SolveReport:
         if step.kind == "eigen":
             lam_prev = step.lam_h
         trace.append(StepRecord(it, step.kind, step.eta, state.objective, state.grad_norm,
-                                step.lam_h))
+                                step.lam_h, step.krylov_steps))
     else:
         # budget exhausted: measure (but do not certify) the current curvature
-        search = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
+        search = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)[0]
         cert = search.lam_h
         krylov_steps += search.steps
         cap_hit = cap_hit or search.capped

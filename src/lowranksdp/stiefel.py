@@ -323,7 +323,12 @@ class OcHessianOperator:
 
     def apply_rows(self, u_rows: np.ndarray) -> np.ndarray:
         """Hessian action on raw tangent rows, skipping wrapper validation."""
-        w = 2.0 * (self.A.dot(u_rows) - _lam_times(self._lam, u_rows, self.config.d))
+        return self._apply_product(u_rows, self.A.dot(u_rows))
+
+    def _apply_product(self, u_rows: np.ndarray, au_rows: np.ndarray) -> np.ndarray:
+        """The action of ``apply_rows`` from the product ``au_rows = A @ u_rows``,
+        already computed; takes no product."""
+        w = 2.0 * (au_rows - _lam_times(self._lam, u_rows, self.config.d))
         return project_rows(self.config, w)
 
     def rayleigh(self, u: StiefelTangent) -> float:

@@ -253,6 +253,7 @@ def save_symmat(A: SymmetricMatrix, path) -> None:
 
 
 def load_symmat(path) -> SymmetricMatrix:
+    """Read a file written by ``save_symmat``; a malformed file raises ValueError."""
     with open(path) as fh:
         header = fh.readline().split()
         if header[:1] != ["symmat"] or len(header) % 2 != 1:
@@ -265,17 +266,23 @@ def load_symmat(path) -> SymmetricMatrix:
         if "n" not in fields:
             raise ValueError("bad symmat header: no n field")
         n = int(fields["n"])
+        if n < 0:
+            raise ValueError(f"bad symmat header: n = {n} is negative")
         block_dim = int(fields["blockdim"]) if "blockdim" in fields else None
         shift = float(fields.get("shift", 0.0))
         rows, cols, vals = [], [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            i_s, j_s, v_s = line.split()
-            rows.append(int(i_s))
-            cols.append(int(j_s))
-            vals.append(float(v_s))
+        line = ""
+        try:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                i_s, j_s, v_s = line.split()
+                rows.append(int(i_s))
+                cols.append(int(j_s))
+                vals.append(float(v_s))
+        except ValueError as exc:
+            raise ValueError(f"bad symmat line {line!r}: need 'i j value'") from exc
     i = np.array(rows, dtype=int)
     j = np.array(cols, dtype=int)
     v = np.array(vals, dtype=float)

@@ -68,7 +68,7 @@ class TestSolveAndCheck:
                     "--out", trace, "--out-config", cfg,
                     "--pga-iters", 1000]) == 0
         lines = trace.read_text().splitlines()
-        assert lines[0] == "iteration,f,grad_norm,kind,step,lam_h"
+        assert lines[0] == "iteration,f,grad_norm,kind,step,lam_h,krylov_steps"
         assert lines[-1].startswith("# mode=")
         assert cfg.read_text().startswith("config n 30 k 3")
 
@@ -256,6 +256,30 @@ class TestUsageErrors:
         mat.write_text(header + "\n0 0 1\n")
         assert run(["solve", "--in", mat] + argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("text, reason", [
+        (None, "No such file or directory"),
+        ("symmat n 3\n0 1 x\n", "bad symmat line '0 1 x': need 'i j value'"),
+        ("symmat n 3\n0 1 2.5\n1 2\n", "bad symmat line '1 2': need 'i j value'"),
+        ("symmat n -3\n", "bad symmat header: n = -3 is negative"),
+    ])
+    def test_unreadable_matrix_file_exits_2(self, tmp_path, capsys, text, reason):
+        mat = tmp_path / "m.symmat"
+        if text is not None:
+            mat.write_text(text)
+        cfg = tmp_path / "c.config"
+        cfg.write_text("config n 3 k 2\n" + "1 0\n" * 3)
+        for argv in (["solve", "--in", mat, "--k", 2],
+                     ["check", "--in-matrix", mat, "--in-config", cfg]):
+            assert run(argv) == 2
+            assert capsys.readouterr().err == f"error: {mat}: {reason}\n"
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        mat = tmp_path / "m.symmat"
+        run(["gen", "--model", "goe", "--n", 6, "--seed", 0, "--out", mat])
+        cfg = tmp_path / "missing.config"
+        assert run(["check", "--in-matrix", mat, "--in-config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: No such file or directory\n"
 
     @pytest.mark.parametrize("argv", [
         ["--model", "sbm", "--a", "4", "--b", "12"],

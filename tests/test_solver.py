@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -219,6 +220,86 @@ class TestLanczosCertificate:
             assert lam_h == pytest.approx(stiefel.oc_rayleigh(B, ocfg, u), abs=1e-12)
 
 
+class TestPairedLanczos:
+    """The certificate's search and its retry share one product per step."""
+
+    @staticmethod
+    def widths(monkeypatch):
+        """Record the column count of every product ``A @ X``."""
+        seen = []
+        dot = SymmetricMatrix.dot
+
+        def counting_dot(A, x):
+            seen.append(x.shape[1])
+            return dot(A, x)
+
+        monkeypatch.setattr(SymmetricMatrix, "dot", counting_dot)
+        return seen
+
+    @staticmethod
+    def recurrences(A, cfg, starts, steps):
+        project = functools.partial(stiefel.project_rows, cfg)
+        return solver._lanczos_tridiagonal(HessianOperator(A, cfg), 4.0 * A.l1_norm(), project,
+                                           starts, steps)
+
+    @pytest.mark.parametrize("model", ["-erdos_renyi", "sbm", "goe"])
+    def test_pair_equals_two_single_runs(self, model, monkeypatch):
+        n, k, steps = 120, 4, 40
+        A = {"-erdos_renyi": lambda: -instances.erdos_renyi(n, 8, 1),
+             "sbm": lambda: instances.sbm(n, 12, 4, 1).A,
+             "goe": lambda: instances.goe(n, 1)}[model]()
+        assert A.is_sparse == (model != "goe")
+        cfg = solver.warm_start(A, k, 2)
+        rng = np.random.default_rng(3)
+        starts = [random_tangent(cfg, rng).rows for _ in range(2)]
+        alone = [self.recurrences(A, cfg, [start], steps)[0] for start in starts]
+        seen = self.widths(monkeypatch)
+        paired = self.recurrences(A, cfg, starts, steps)
+        assert seen == [k] + [2 * k] * steps  # the operator's own product, then one per step
+        for (a1, b1), (a2, b2) in zip(alone, paired):
+            assert a1.size == a2.size == steps and b1.size == b2.size == steps - 1
+            if A.is_sparse:
+                # a CSR product computes each column alone, so the bits agree
+                assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
+            else:
+                np.testing.assert_allclose(a2, a1, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(b2, b1, rtol=1e-12, atol=0.0)
+
+    def test_member_that_breaks_down_leaves_the_other_alone(self, monkeypatch):
+        # rows 0-2 form a component of their own, so a start supported there
+        # spans a Krylov space of dimension 3 (one tangent direction per row)
+        import scipy.sparse as sp
+
+        small = np.array([[0.0, 1.0, -2.0], [1.0, 0.5, 1.5], [-2.0, 1.5, 0.0]])
+        rest = -instances.erdos_renyi(60, 6, 4).to_dense()
+        A = SymmetricMatrix(sp.csr_matrix(sp.block_diag([small, rest])))
+        k, steps = 2, 30
+        cfg = random_config(A.n, k, 5)
+        rng = np.random.default_rng(6)
+        local = random_tangent(cfg, rng).rows.copy()
+        local[3:] = 0.0
+        local /= np.linalg.norm(local)
+        full = random_tangent(cfg, rng).rows
+        alone = self.recurrences(A, cfg, [full], steps)[0]
+        seen = self.widths(monkeypatch)
+        (a1, b1), (a2, b2) = self.recurrences(A, cfg, [local, full], steps)
+        assert a1.size == 3 and b1.size == 2  # the Krylov space closed at step 3
+        assert seen == [k] + [2 * k] * 3 + [k] * (steps - 3)
+        assert np.array_equal(a2, alone[0]) and np.array_equal(b2, alone[1])
+
+    def test_certified_solve_takes_one_product_per_step_pair(self, monkeypatch):
+        A = instances.goe(40, 3)
+        warm = projected_gradient_ascent(A, random_config(40, 3, 4), iters=5000,
+                                         grad_tol=1e-6)
+        A.opnorm()  # cached, so the solve's products are its own
+        seen = self.widths(monkeypatch)
+        rep = solve(A, SolverOptions(k=3, epsilon=0.5, seed=5), sigma0=warm.sigma)
+        assert rep.converged and rep.iterations == 0
+        # the start's product, then the search and its retry side by side
+        assert seen == [3] + [6] * (rep.krylov_steps // 2)
+        assert rep.krylov_steps % 2 == 0
+
+
 class TestRtrStep:
     def test_zero_matrix_is_noop(self):
         A = SymmetricMatrix(np.zeros((8, 8)))
@@ -431,8 +512,21 @@ class TestSolve:
         path = tmp_path / "trace.csv"
         rep.trace_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,f,grad_norm,kind,step,lam_h"
+        assert lines[0] == "iteration,f,grad_norm,kind,step,lam_h,krylov_steps"
         assert lines[-1].startswith("# mode=")
+
+    def test_trace_csv_counts_krylov_steps_per_step(self, tmp_path):
+        A = instances.goe(20, 15)
+        rep = solve(A, SolverOptions(k=3, seed=0, mode=MODE_EIGEN_ONLY, epsilon=1e-6,
+                                     max_iters=6))
+        path = tmp_path / "trace.csv"
+        rep.trace_csv(path)
+        rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:-1]]
+        assert [int(r[6]) for r in rows] == [rec.krylov_steps for rec in rep.trace]
+        assert [r[3] for r in rows] == ["init"] + ["eigen"] * 6
+        assert all(int(r[6]) > 0 for r in rows[1:]) and rows[0][6] == "0"
+        # the budget-exhausted measurement takes no step, so it is in the total only
+        assert 0 < rep.krylov_steps - sum(rec.krylov_steps for rec in rep.trace)
 
 
 class TestDefaults:

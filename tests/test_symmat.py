@@ -238,6 +238,13 @@ class TestFileFormat:
         assert np.array_equal(B.dot(x), A.dot(x))
         assert B.l1_norm() == A.l1_norm()
 
+    def test_bad_body_line_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.symmat"
+        for body in ["0 1 x", "0 1", "0 1 2 3", "0.5 1 2"]:
+            path.write_text(f"symmat n 3\n0 0 1\n\n{body}\n1 2 3\n")
+            with pytest.raises(ValueError, match=f"bad symmat line '{body}'"):
+                load_symmat(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.symmat"
         for header in ["wrong 2",
@@ -246,7 +253,8 @@ class TestFileFormat:
                        "symmat n 4 blockdim 2 junk 7",  # unknown field
                        "symmat n 4 shift 1 shift 2",  # repeated field
                        "symmat blockdim 2",  # no n
-                       "symmat n 2 shift nan"]:
+                       "symmat n 2 shift nan",
+                       "symmat n -3"]:  # negative n
             path.write_text(header + "\n0 1 1\n")
             with pytest.raises(ValueError):
                 load_symmat(path)
