@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symmat import SymmetricMatrix
+from .symmat import SymmetricMatrix, _write_lines
 
 __all__ = [
     "StiefelConfig",
@@ -410,11 +410,8 @@ def write_config(config: StiefelConfig, path, kind: str | None = None) -> None:
     """Write ``config`` under header ``kind``; by default ``config`` at d = 1."""
     kind = kind or ("config" if config.d == 1 else "occonfig")
     dims = {"n": config.n, "m": config.m, "d": config.d, "k": config.k}
-    lines = [" ".join([kind] + [f"{key} {dims[key]}" for key in _HEADERS[kind]])]
-    for row in config.rows:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = " ".join([kind] + [f"{key} {dims[key]}" for key in _HEADERS[kind]])
+    _write_lines(path, header, " ".join(["{:.17g}"] * config.k) + "\n", config.rows.T)
 
 
 def read_config(path, kinds=("config", "occonfig")) -> StiefelConfig:

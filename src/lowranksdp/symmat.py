@@ -9,6 +9,9 @@ cheap to multiply: a mat-vec stays O(nnz + n) instead of densifying.
 from __future__ import annotations
 
 import copy
+import itertools
+import math
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -228,7 +231,27 @@ def opnorm_estimate(A: SymmetricMatrix, rel_tol: float = 1e-3,
 # Format: header ``symmat n <n> [blockdim <d>] [shift <s>]`` followed by
 # ``i j value`` triplets of the core, 0-indexed.  The upper triangle is
 # sufficient; the reader mirrors.  Each unordered pair {i, j} may be listed
-# once, in either orientation.
+# once, in either orientation.  Both directions work on whole arrays: the
+# body is parsed by one ``np.loadtxt`` call and written in chunks of
+# formatted lines, with no Python statement run per entry.
+
+_TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", float)])
+_CHUNK_ROWS = 8192
+# the reader keys each pair {i, j} as min * n + max in int64, so n * n must fit
+_MAX_N = math.isqrt(np.iinfo(np.int64).max)
+
+
+def _write_lines(path, header: str, fmt: str, columns) -> None:
+    """Write ``header``, then ``fmt.format(*row)`` for each row of the equal-length ``columns``.
+
+    Rows are formatted ``_CHUNK_ROWS`` at a time, so the text in memory stays
+    small however long the file is.
+    """
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = (col[start:start + _CHUNK_ROWS].tolist() for col in columns)
+            fh.writelines(map(fmt.format, *chunk))
 
 
 def save_symmat(A: SymmetricMatrix, path) -> None:
@@ -245,11 +268,40 @@ def save_symmat(A: SymmetricMatrix, path) -> None:
     upper = sp.triu(A._core, format="csr").sorted_indices()
     iu = np.repeat(np.arange(A.n), np.diff(upper.indptr))
     keep = upper.data != 0.0
-    lines = [header]
-    for i, j, v in zip(iu[keep], upper.indices[keep], upper.data[keep]):
-        lines.append(f"{i} {j} {v:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, header, "{} {} {:.17g}\n",
+                 (iu[keep], upper.indices[keep], upper.data[keep]))
+
+
+def _triplets(lines) -> np.ndarray:
+    """Parse ``i j value`` lines (a file or a list of strings) into a ``_TRIPLET`` array.
+
+    Blank lines are skipped and an empty body gives an empty array, without
+    ``loadtxt``'s "no data" warning.  ``comments=None``: a ``#`` line is a bad
+    line, not a comment.  Anything else raises ValueError.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, dtype=_TRIPLET, ndmin=1, comments=None)
+
+
+def _parses(lines) -> bool:
+    try:
+        _triplets(lines)
+    except ValueError:
+        return False
+    return True
+
+
+def _first_bad_line(fh) -> str:
+    """The first line from ``fh`` that ``_triplets`` rejects on its own; error path only.
+
+    Whole chunks are tried first, so a long file costs one parse of each
+    chunk plus one per line of the bad chunk.
+    """
+    while chunk := list(itertools.islice(fh, _CHUNK_ROWS)):
+        if not _parses(chunk):
+            return next((line.strip() for line in chunk if not _parses([line])), "")
+    return ""
 
 
 def load_symmat(path) -> SymmetricMatrix:
@@ -268,24 +320,17 @@ def load_symmat(path) -> SymmetricMatrix:
         n = int(fields["n"])
         if n < 0:
             raise ValueError(f"bad symmat header: n = {n} is negative")
+        if n > _MAX_N:
+            raise ValueError(f"bad symmat header: n = {n} exceeds {_MAX_N}")
         block_dim = int(fields["blockdim"]) if "blockdim" in fields else None
         shift = float(fields.get("shift", 0.0))
-        rows, cols, vals = [], [], []
-        line = ""
         try:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                i_s, j_s, v_s = line.split()
-                rows.append(int(i_s))
-                cols.append(int(j_s))
-                vals.append(float(v_s))
+            body = _triplets(fh)
         except ValueError as exc:
-            raise ValueError(f"bad symmat line {line!r}: need 'i j value'") from exc
-    i = np.array(rows, dtype=int)
-    j = np.array(cols, dtype=int)
-    v = np.array(vals, dtype=float)
+            fh.seek(0)
+            fh.readline()
+            raise ValueError(f"bad symmat line {_first_bad_line(fh)!r}: need 'i j value'") from exc
+    i, j, v = body["i"], body["j"], body["v"]
     if i.size and (i.min() < 0 or j.min() < 0 or i.max() >= n or j.max() >= n):
         raise ValueError("triplet index out of range")
     pairs, counts = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_counts=True)

@@ -261,7 +261,11 @@ class TestUsageErrors:
         (None, "No such file or directory"),
         ("symmat n 3\n0 1 x\n", "bad symmat line '0 1 x': need 'i j value'"),
         ("symmat n 3\n0 1 2.5\n1 2\n", "bad symmat line '1 2': need 'i j value'"),
+        ("symmat n 3\n99999999999999999999 1 2\n",  # an index that overflows int64
+         "bad symmat line '99999999999999999999 1 2': need 'i j value'"),
         ("symmat n -3\n", "bad symmat header: n = -3 is negative"),
+        ("symmat n 99999999999999999999\n0 1 2\n",
+         "bad symmat header: n = 99999999999999999999 exceeds 3037000499"),
     ])
     def test_unreadable_matrix_file_exits_2(self, tmp_path, capsys, text, reason):
         mat = tmp_path / "m.symmat"

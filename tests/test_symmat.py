@@ -1,14 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lowranksdp import instances
+from lowranksdp import instances, stiefel
 from lowranksdp.symmat import (
     SymmetricMatrix,
     load_symmat,
     opnorm_estimate,
     save_symmat,
 )
+
+
+def _small_sparse_core():
+    return sp.csr_matrix(([2.5, 2.5, -1.0, 7.0], ([0, 3, 1, 4], [3, 0, 1, 4])), shape=(5, 5))
 
 
 def complete_graph(n):
@@ -240,10 +246,85 @@ class TestFileFormat:
 
     def test_bad_body_line_names_the_line(self, tmp_path):
         path = tmp_path / "bad.symmat"
-        for body in ["0 1 x", "0 1", "0 1 2 3", "0.5 1 2"]:
+        for body in ["0 1 x", "0 1", "0 1 2 3", "0.5 1 2", "1e3 1 2", "# c",
+                     "99999999999999999999 1 2",  # overflows int64
+                     "1_0 1 2"]:  # Python's int() takes it, the file format does not
             path.write_text(f"symmat n 3\n0 0 1\n\n{body}\n1 2 3\n")
             with pytest.raises(ValueError, match=f"bad symmat line '{body}'"):
                 load_symmat(path)
+
+    def test_bad_line_is_found_past_the_first_chunk(self, tmp_path):
+        path = tmp_path / "bad.symmat"
+        good = "".join(f"{i} {i + 1} 0.5\n" for i in range(20000))
+        path.write_text(f"symmat n 20001\n{good}7 8 oops\n{good}")
+        with pytest.raises(ValueError, match="bad symmat line '7 8 oops'"):
+            load_symmat(path)
+
+    @pytest.mark.parametrize("text, n", [("symmat n 3\n", 3), ("symmat n 3\n\n  \n\n", 3),
+                                         ("symmat n 0\n", 0)])
+    def test_empty_body_loads_a_zero_matrix_silently(self, tmp_path, text, n):
+        path = tmp_path / "empty.symmat"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a body with no data
+            A = load_symmat(path)
+        assert A.n == n and A.shift == 0.0
+        assert np.array_equal(A.to_dense(), np.zeros((n, n)))
+
+    # the exact text each writer produces: 17 significant digits, one entry or
+    # row per line, no trailing blank line
+    @pytest.mark.parametrize("make, text", [
+        (lambda: SymmetricMatrix(np.array([[0.1, -2.0, 0.0], [-2.0, 0.0, 1 / 3], [0.0, 1 / 3, 1e-300]])),
+         "symmat n 3\n0 0 0.10000000000000001\n0 1 -2\n1 2 0.33333333333333331\n2 2 1e-300\n"),
+        (lambda: SymmetricMatrix(_small_sparse_core()),
+         "symmat n 5\n0 3 2.5\n1 1 -1\n4 4 7\n"),
+        (lambda: SymmetricMatrix(_small_sparse_core(), shift=-1 / 3),
+         "symmat n 5 shift -0.33333333333333331\n0 3 2.5\n1 1 -1\n4 4 7\n"),
+        (lambda: SymmetricMatrix(np.kron(np.eye(2), [[1.0, 0.7], [0.7, -1.0]]), block_dim=2),
+         "symmat n 4 blockdim 2\n0 0 1\n0 1 0.69999999999999996\n1 1 -1\n"
+         "2 2 1\n2 3 0.69999999999999996\n3 3 -1\n"),
+    ], ids=["dense", "sparse", "shifted-sparse", "blockdim"])
+    def test_save_writes_golden_bytes(self, tmp_path, make, text):
+        path = tmp_path / "a.symmat"
+        save_symmat(make(), path)
+        assert path.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("rows, d, text", [
+        ([[1.0, 0.0], [0.6, 0.8], [np.sqrt(0.5), -np.sqrt(0.5)]], 1,
+         "config n 3 k 2\n1 0\n0.59999999999999998 0.80000000000000004\n"
+         "0.70710678118654757 -0.70710678118654757\n"),
+        ([[0.6, 0.8, 0, 0], [-0.8, 0.6, 0, 0], [0, 0, 1, 0],
+          [0, 0, 0.8, 0.6], [0, 0, 0.6, -0.8], [0, 1, 0, 0]], 3,
+         "occonfig m 2 d 3 k 4\n0.59999999999999998 0.80000000000000004 0 0\n"
+         "-0.80000000000000004 0.59999999999999998 0 0\n0 0 1 0\n"
+         "0 0 0.80000000000000004 0.59999999999999998\n"
+         "0 0 0.59999999999999998 -0.80000000000000004\n0 1 0 0\n"),
+    ], ids=["d1", "d3"])
+    def test_write_config_golden_bytes(self, tmp_path, rows, d, text):
+        path = tmp_path / "c.config"
+        stiefel.write_config(stiefel.StiefelConfig(np.array(rows), d), path)
+        assert path.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("make", [lambda: instances.goe(200, 5),
+                                      lambda: -instances.erdos_renyi(300, 6, 5)],
+                             ids=["goe", "neg-er"])
+    def test_round_trip_is_bit_identical(self, tmp_path, make):
+        # both files span several write chunks; the reference is one f-string per entry
+        A = make()
+        path = tmp_path / "a.symmat"
+        save_symmat(A, path)
+        upper = np.triu(A.to_dense())
+        ii, jj = np.nonzero(upper)
+        expected = f"symmat n {A.n}\n" + "".join(
+            f"{i} {j} {v:.17g}\n" for i, j, v in zip(ii, jj, upper[ii, jj]))
+        assert path.read_text() == expected
+        B = load_symmat(path)
+        assert (B.is_sparse, B.shift, B.block_dim) == (A.is_sparse, A.shift, A.block_dim)
+        if A.is_sparse:
+            for field in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(B._core, field), getattr(A._core, field))
+        else:
+            assert np.array_equal(B._core, A._core)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.symmat"
@@ -254,7 +335,8 @@ class TestFileFormat:
                        "symmat n 4 shift 1 shift 2",  # repeated field
                        "symmat blockdim 2",  # no n
                        "symmat n 2 shift nan",
-                       "symmat n -3"]:  # negative n
+                       "symmat n -3",  # negative n
+                       "symmat n 99999999999999999999"]:  # n * n overflows int64
             path.write_text(header + "\n0 1 1\n")
             with pytest.raises(ValueError):
                 load_symmat(path)
