@@ -231,9 +231,7 @@ def opnorm_estimate(A: SymmetricMatrix, rel_tol: float = 1e-3,
 # Format: header ``symmat n <n> [blockdim <d>] [shift <s>]`` followed by
 # ``i j value`` triplets of the core, 0-indexed.  The upper triangle is
 # sufficient; the reader mirrors.  Each unordered pair {i, j} may be listed
-# once, in either orientation.  Both directions work on whole arrays: the
-# body is parsed by one ``np.loadtxt`` call and written in chunks of
-# formatted lines, with no Python statement run per entry.
+# once, in either orientation.
 
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", float)])
 _CHUNK_ROWS = 8192
@@ -277,10 +275,15 @@ def _triplets(lines) -> np.ndarray:
 
     Blank lines are skipped and an empty body gives an empty array, without
     ``loadtxt``'s "no data" warning.  ``comments=None``: a ``#`` line is a bad
-    line, not a comment.  Anything else raises ValueError.
+    line, not a comment.  Anything else raises ValueError.  NumPy 1.23 up to
+    the release that expired the deprecation parses an integer field such as
+    ``0.5`` or ``1e3`` through a float and only warns; that warning is made an
+    error, which ``loadtxt`` reports as ValueError.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
+                                DeprecationWarning)
         return np.loadtxt(lines, dtype=_TRIPLET, ndmin=1, comments=None)
 
 
@@ -327,6 +330,8 @@ def load_symmat(path) -> SymmetricMatrix:
         try:
             body = _triplets(fh)
         except ValueError as exc:
+            if not fh.seekable():  # a pipe: the body is gone, name loadtxt's complaint
+                raise ValueError(f"bad symmat line: {exc}") from exc
             fh.seek(0)
             fh.readline()
             raise ValueError(f"bad symmat line {_first_bad_line(fh)!r}: need 'i j value'") from exc

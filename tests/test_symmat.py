@@ -1,10 +1,11 @@
+import os
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lowranksdp import instances, stiefel
+from lowranksdp import instances, stiefel, symmat
 from lowranksdp.symmat import (
     SymmetricMatrix,
     load_symmat,
@@ -259,6 +260,27 @@ class TestFileFormat:
         path.write_text(f"symmat n 20001\n{good}7 8 oops\n{good}")
         with pytest.raises(ValueError, match="bad symmat line '7 8 oops'"):
             load_symmat(path)
+
+    def test_integer_parsed_via_float_is_a_bad_line(self, monkeypatch):
+        # NumPy >= 1.23 before the deprecation expired loads "0.5" into an int64
+        # field through a float and only warns; the reader must not accept it
+        def warning_loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        with pytest.raises(DeprecationWarning):
+            symmat._triplets(["0.5 1 2\n"])
+
+    def test_reads_a_pipe(self):
+        for body, error in [("0 1 2\n", None), ("0 1 x\n", "bad symmat line: could not convert")]:
+            r, w = os.pipe()  # not seekable, like `--in /dev/stdin`
+            os.write(w, f"symmat n 3\n{body}".encode())
+            os.close(w)
+            if error is None:
+                assert load_symmat(r).to_dense()[1, 0] == 2.0
+            else:
+                with pytest.raises(ValueError, match=error):
+                    load_symmat(r)
 
     @pytest.mark.parametrize("text, n", [("symmat n 3\n", 3), ("symmat n 3\n\n  \n\n", 3),
                                          ("symmat n 0\n", 0)])
