@@ -6,9 +6,15 @@ Two step schedules are implemented:
   direction found by Lanczos iteration, with step size
   lam_H / (100 ||A||_1).
 * ``gradient-eigen``: while the Riemannian gradient is large (above the
-  spectral norm of A) take fixed-size gradient steps ||A||_2 / (20 ||A||_1);
-  otherwise take an eigen-step of size
-  min(sqrt(lam_H / (216 ||A||_1)), lam_H / (12 ||A||_2)).
+  spectral norm of A) take gradient steps along grad / |grad|; otherwise
+  take an eigen-step of size
+  min(sqrt(lam_H / (216 ||A||_1)), lam_H / (12 ||A||_2)).  The paper's
+  gradient step has the fixed length eta = ||A||_2 / (20 ||A||_1); here a
+  step tries a Barzilai-Borwein length first and keeps it when a monotone
+  Armijo test passes, halving it down to eta otherwise.  The test asks for
+  the increase the paper proves for eta, so every step gains at least
+  ||A||_2^2 / (40 ||A||_1) and the analysis' budget stands; from a cold
+  start the phase takes tens of steps where fixed steps take thousands.
 
 The run stops once a Lanczos run on the shifted Hessian certifies that the
 largest Hessian curvature is (with high probability) below the target
@@ -116,6 +122,14 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One step of a trace.
+
+    ``step_size`` is the length moved along the step's unit direction: for a
+    gradient step the accepted length along grad / |grad|, at least the
+    paper's ||A||_2 / (20 ||A||_1); for an eigen step the schedule's size;
+    for a ``"pga"`` step the fixed step on the raw gradient.
+    """
+
     index: int
     kind: str  # "init" | "gradient" | "eigen" | "pga" | "none"
     step_size: float
@@ -311,6 +325,17 @@ _ZH_RHO = 1e-4
 _BB_MIN, _BB_MAX = 1e-3, 1e3
 
 
+def _bb_length(s: np.ndarray, y: np.ndarray, long: bool = True) -> float:
+    """The Barzilai-Borwein length s's/|s'y| (``long``) or |s'y|/y'y of a raw-gradient step.
+
+    ``s`` is the change of rows and ``y = grad_old - grad_new``; a zero
+    denominator gives infinity, which the caller's upper clamp takes.
+    """
+    sy = abs(float(np.sum(s * y)))
+    num, den = (float(np.sum(s * s)), sy) if long else (sy, float(np.sum(y * y)))
+    return num / den if den > 0.0 else math.inf
+
+
 def _bb_ascent(geom: _Geometry, state: _State, iters: int, grad_tol: float):
     """Barzilai-Borwein gradient ascent with a nonmonotone Armijo test.
 
@@ -340,14 +365,8 @@ def _bb_ascent(geom: _Geometry, state: _State, iters: int, grad_tol: float):
                 break
             t = max(0.5 * t, lo)
         steps += 1
-        s = trial.rows - state.rows
-        y = state.grad - trial.grad
-        sy = abs(float(np.sum(s * y)))
-        if steps % 2:
-            num, den = float(np.sum(s * s)), sy
-        else:
-            num, den = sy, float(np.sum(y * y))
-        t = min(max(num / den, lo), hi) if den > 0.0 else hi
+        t = min(max(_bb_length(trial.rows - state.rows, state.grad - trial.grad,
+                               long=steps % 2 == 1), lo), hi)
         q_next = _ZH_ETA * q + 1.0
         ref = (_ZH_ETA * q * ref + trial.objective) / q_next
         q, state = q_next, trial
@@ -374,7 +393,17 @@ def default_epsilon(A: SymmetricMatrix, k: int, manifold: str = "sphere") -> flo
 
 
 def worst_case_budget(A: SymmetricMatrix, epsilon: float, mode: str) -> int:
-    """Worst-case step budget of the convergence analysis (a loose cap)."""
+    """Worst-case step budget of the convergence analysis (a loose cap).
+
+    The gradient term: while |grad| > ||A||_2, the paper's step
+    eta = ||A||_2 / (20 ||A||_1) <= 1/20 gains at least eta |grad| / 2.  Along
+    the retraction |f''(t)| <= ||A||_1 (4 + 8t + 8t^2) <= 4.42 ||A||_1 for
+    t <= eta, so the quadratic loss is at most 2.21 eta^2 ||A||_1
+    <= 0.11 eta |grad|.  A longer gradient step of ``_step`` is accepted only
+    if it gains tau |grad| / 2 with tau >= eta (rho = 1/2), so every gradient
+    step gains at least ||A||_2^2 / (40 ||A||_1), and at most
+    40 ||A||_1 Rg / ||A||_2^2 of them fit in the range Rg <= 2n ||A||_2.
+    """
     n = A.n
     l1 = A.l1_norm()
     if l1 == 0.0:
@@ -607,11 +636,28 @@ class _Step(NamedTuple):
     lam_h: float
     krylov_steps: int
     capped: bool
+    # gradient steps: the raw Barzilai-Borwein length s's/|s'y| of the step
+    length: float | None = None
+
+
+# Armijo constant of the gradient branch: the paper's fixed step eta gains at
+# least eta |grad| / 2, so a longer trial must gain as much per unit length
+_GRAD_RHO = 0.5
 
 
 def _step(state: _State, geom: _Geometry, opts: SolverOptions, epsilon: float,
-          lam_prev: float | None, rng) -> _Step:
+          lam_prev: float | None, rng, length: float | None = None) -> _Step:
     """One step of the schedule in the module docstring (``geom.l1`` must be positive).
+
+    A gradient step moves along u = grad / |grad|.  Its trial length is
+    tau = |grad| * ``length``, the previous gradient step's Barzilai-Borwein
+    length, or |grad| / (4 ||A||_1) when there is none (the first trial of
+    ``warm_start``), clamped to [eta, |grad| _BB_MAX / ||A||_1] with the
+    paper's step eta = ||A||_2 / (20 ||A||_1).  A trial is accepted when it
+    gains at least tau |grad| / 2 (a monotone Armijo test); otherwise tau is
+    halved, down to eta, where the paper's step is taken as it stands.  So
+    every gradient step has tau >= eta and gains at least eta |grad| / 2,
+    the paper's lemma for the fixed step.
 
     A search that certifies curvature at most ``epsilon`` is retried once
     from a fresh start (a random start fails with small probability; the
@@ -623,10 +669,19 @@ def _step(state: _State, geom: _Geometry, opts: SolverOptions, epsilon: float,
     """
     l1 = geom.l1
     if opts.mode == MODE_GRADIENT_EIGEN and state.grad_norm > geom.A.opnorm():
+        g = state.grad_norm
         eta = geom.A.opnorm() / (20.0 * l1)
-        u = (1.0 / state.grad_norm) * state.grad
+        u = (1.0 / g) * state.grad
         stiefel._check_tangent(u, state.rows, geom.d)
-        return _Step("gradient", eta, geom.advance(state, u, eta), math.nan, 0, False)
+        tau = g * length if length is not None else g / (4.0 * l1)
+        tau = min(max(tau, eta), g * _BB_MAX / l1)
+        while True:
+            trial = geom.advance(state, u, tau)
+            if tau <= eta or trial.objective >= state.objective + _GRAD_RHO * tau * g:
+                break
+            tau = max(0.5 * tau, eta)
+        return _Step("gradient", tau, trial, math.nan, 0, False,
+                     _bb_length(trial.rows - state.rows, state.grad - trial.grad))
     searches = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng,
                                 pair=lam_prev is None)
     if searches[-1].certified and len(searches) == 1:
@@ -649,9 +704,11 @@ def rtr_step(A: SymmetricMatrix, config, opts: SolverOptions, *,
              rng=None, lam_prev: float | None = None):
     """One step of the trust-region schedule; returns (next_config, record).
 
-    A zero matrix, a trivial tangent space (d = k = 1), or curvature
-    certified at or below the target by two Lanczos searches in a row,
-    produces no movement (kind ``"none"``), as ``solve`` stops there.
+    A gradient step has no history here, so its trial length is the
+    |grad| / (4 ||A||_1) that a solve's first gradient step tries.  A zero
+    matrix, a trivial tangent space (d = k = 1), or curvature certified at or
+    below the target by two Lanczos searches in a row, produces no movement
+    (kind ``"none"``), as ``solve`` stops there.
     """
     opts.validate()
     rng = np.random.default_rng(opts.seed if rng is None else rng)
@@ -697,8 +754,9 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None) -> SolveReport:
     krylov_steps = 0
     cap_hit = converged = False
     lam_prev: float | None = None
+    length: float | None = None  # of the last gradient step
     for it in range(1, budget + 1):
-        step = _step(state, geom, opts, epsilon, lam_prev, rng)
+        step = _step(state, geom, opts, epsilon, lam_prev, rng, length)
         krylov_steps += step.krylov_steps
         cap_hit = cap_hit or step.capped
         if step.kind == "none":
@@ -710,6 +768,8 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None) -> SolveReport:
         counts[step.kind] += 1
         if step.kind == "eigen":
             lam_prev = step.lam_h
+        else:
+            length = step.length
         trace.append(StepRecord(it, step.kind, step.eta, state.objective, state.grad_norm,
                                 step.lam_h, step.krylov_steps))
     else:

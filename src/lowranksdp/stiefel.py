@@ -16,6 +16,7 @@ to the bit (tests/test_stiefel.py, tests/test_solver.py).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -417,7 +418,9 @@ def write_config(config: StiefelConfig, path, kind: str | None = None) -> None:
 def read_config(path, kinds=("config", "occonfig")) -> StiefelConfig:
     """Read a file written by ``write_config``; its header must be one of ``kinds``.
 
-    Any malformed file raises ValueError.
+    Any malformed file raises ValueError.  ``comments=None``: a ``#`` in the
+    body is a bad value, as in the matrix format, not a comment.  An empty
+    body fails the shape check without ``loadtxt``'s "no data" warning.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -426,7 +429,9 @@ def read_config(path, kinds=("config", "occonfig")) -> StiefelConfig:
                 or len(header) != 2 * len(_HEADERS[kind]) + 1):
             raise ValueError(f"not a {' or '.join(kinds)} file: bad header")
         dims = dict(zip(header[1::2], map(int, header[2::2])))
-        rows = np.loadtxt(fh, dtype=float, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(fh, dtype=float, ndmin=2, comments=None)
     d = dims.get("d", 1)
     if rows.shape != (dims["m"] * d if "m" in dims else dims["n"], dims["k"]):
         raise ValueError(f"{kind} body does not match header dimensions")

@@ -320,7 +320,8 @@ class TestRtrStep:
         assert solve(A, opts, sigma0=cfg).converged
 
     def test_gradient_step_is_the_public_retraction(self):
-        # oc_retract(sigma, grad / |grad|, ||A||_2 / (20 ||A||_1)), bit for bit
+        # oc_retract(sigma, grad / |grad|, step_size) bit for bit, at an
+        # accepted length no shorter than the paper's ||A||_2 / (20 ||A||_1)
         for seed in range(4):
             A = instances.goe(100, seed)
             cfg = random_config(100, 3, 7 + seed)
@@ -329,8 +330,8 @@ class TestRtrStep:
             nxt, rec = rtr_step(A, cfg, SolverOptions(k=3, epsilon=1e-6))
             eta = A.opnorm() / (20.0 * A.l1_norm())
             unit = stiefel.StiefelTangent((1.0 / g.norm) * g.rows, cfg)
-            expect = stiefel.oc_retract(cfg, unit, eta)
-            assert rec.kind == "gradient" and rec.step_size == eta
+            expect = stiefel.oc_retract(cfg, unit, rec.step_size)
+            assert rec.kind == "gradient" and rec.step_size >= eta
             assert np.array_equal(nxt.rows, expect.rows)
             assert rec.objective == sphere.objective(A, expect)
             assert rec.grad_norm == sphere.gradient(A, expect).norm
@@ -352,6 +353,22 @@ class TestRtrStep:
             assert rec.objective - f0 >= bound * (1 - 1e-9)
             checked += 1
         assert checked >= 4
+
+    def test_cold_start_gradient_phase_converges(self):
+        # Barzilai-Borwein lengths floored at the paper's step: the gradient
+        # phase ends in a few dozen steps, each gaining at least the fixed
+        # step's mu_G^2 / (40 ||A||_1)
+        A = instances.goe(1000, 0)
+        rep = solve(A, SolverOptions(k=6, seed=0))
+        assert rep.converged  # within the default budget, worst_case_budget
+        assert 0 < rep.gradient_steps < 100
+        l1, l2 = A.l1_norm(), A.opnorm()
+        eta, bound = l2 / (20.0 * l1), l2**2 / (40.0 * l1)
+        steps = [(a, b) for a, b in zip(rep.trace, rep.trace[1:]) if b.kind == "gradient"]
+        assert len(steps) == rep.gradient_steps
+        for before, rec in steps:
+            assert rec.step_size >= eta
+            assert rec.objective - before.objective >= bound
 
     def test_eigen_step_increment_mode_a(self):
         # increment >= lam_H^3 / (4e4 ||A||_1^2)
@@ -477,6 +494,17 @@ class TestSolve:
         assert np.array_equal(rep_s.sigma.rows, rep_o.sigma.rows)
         assert rep_s.objective == rep_o.objective
         assert [r.objective for r in rep_s.trace] == [r.objective for r in rep_o.trace]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stiefel_d1_cold_start_bitwise_equals_sphere(self, seed):
+        # the Barzilai-Borwein gradient phase too: same trials, same lengths
+        A = instances.goe(200, seed)
+        rep_s = solve(A, SolverOptions(k=4, seed=seed))
+        rep_o = solve(A.with_block_dim(1), SolverOptions(k=4, seed=seed, manifold="stiefel"))
+        assert rep_s.gradient_steps > 0
+        assert np.array_equal(rep_s.sigma.rows, rep_o.sigma.rows)
+        # repr prints each float exactly, and a NaN lam_h equal to itself
+        assert [repr(r) for r in rep_s.trace] == [repr(r) for r in rep_o.trace]
 
     def test_stiefel_d1_bitwise_equals_sphere_with_eigen_steps(self):
         A = instances.goe(30, 5)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,24 @@ class TestSerialization:
         path.write_text(text)
         with pytest.raises(ValueError):
             read_config(path)
+
+    @pytest.mark.parametrize("text", ["config n 2 k 2\n# a comment\n1 0\n0 1\n",
+                                      "config n 2 k 2\n1 0\n0 1 # trailing\n"])
+    def test_reader_rejects_comments(self, tmp_path, text):
+        # '#' is a bad value, as in the matrix format: dropping it as a
+        # comment would read both files as the 2 x 2 identity
+        path = tmp_path / "c.config"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            read_config(path)
+
+    def test_reader_rejects_empty_body_without_warning(self, tmp_path):
+        path = tmp_path / "c.config"
+        path.write_text("config n 2 k 2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="does not match header"):
+                read_config(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "c.occonfig"
