@@ -131,8 +131,10 @@ def grothendieck_check(A: SymmetricMatrix, config: stiefel.StiefelConfig, epsilo
     k_d = 2k/(d+1) is the effective rank, k itself on the sphere product
     (d = 1).  Since the estimate is a lower bound of SDP(A), a pass is
     conservative in one direction; the signed slack is returned for analysis
-    either way.
+    either way.  ``epsilon`` must be finite and nonnegative.
     """
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError("epsilon must be finite and nonnegative")
     k_d = solver.effective_rank(config.k, config.d)
     if k_d <= 1.0:
         raise ValueError("the bound needs k_d = 2k/(d+1) > 1")

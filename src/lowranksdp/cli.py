@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--k", type=_positive(int), required=True)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=_positive(float), default=None)
     p.add_argument("--mode", dest="solver", choices=_SOLVER_CHOICES, default="rtr-b")
     p.add_argument("--manifold", choices=("sphere", "stiefel"), default="sphere")
     p.add_argument("--seed", type=int, default=0)
@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the certificate bound check")
     p.add_argument("--in-matrix", required=True)
     p.add_argument("--in-config", required=True)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=_positive(float, zero_ok=True), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pga-iters", type=int, default=2000)
     p.add_argument("--out")

@@ -16,10 +16,11 @@ Two step schedules are implemented:
   ||A||_2^2 / (40 ||A||_1) and the analysis' budget stands; from a cold
   start the phase takes tens of steps where fixed steps take thousands.
 
-The run stops once a Lanczos run on the shifted Hessian certifies that the
-largest Hessian curvature is (with high probability) below the target
-epsilon; the certificate is retried once with a fresh start before
-convergence is declared.  The number of Lanczos steps comes from the
+The run stops once a Lanczos run on the shifted Hessian (the recurrence of
+``symmat``, which also estimates ||A||_2) certifies that the largest Hessian
+curvature is (with high probability) below the target epsilon; the
+certificate is retried once with a fresh start before convergence is
+declared.  The number of Lanczos steps comes from the
 Kuczynski-Wozniakowski random-start bound (SIAM J. Matrix Anal. Appl. 1992),
 so it grows like log(n) / sqrt(epsilon) where the power method's grows like
 log(n) / epsilon.  Where a certificate is expected (before the first eigen
@@ -50,6 +51,7 @@ point is built when a step or the report needs it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sphere, stiefel
-from .symmat import SymmetricMatrix
+from .symmat import SymmetricMatrix, _lanczos, _tridiagonal
 
 __all__ = [
     "SolverOptions",
@@ -455,8 +457,6 @@ def power_method(H, mu_H: float, N_H: int, seed):
 # steps leave the top Ritz value below (1 - e) lam_max with probability at
 # most _KW_CONST sqrt(D) exp(-sqrt(e) (2q - 1)).
 _KW_CONST = 1.648
-# a residual this small relative to the shift means the Krylov space closed
-_BREAKDOWN = 1e-12
 
 
 def _krylov_step_count(opts: SolverOptions, n: int, dim: int, mu_H: float,
@@ -481,71 +481,17 @@ def _krylov_step_count(opts: SolverOptions, n: int, dim: int, mu_H: float,
     return steps, False
 
 
-def _lanczos_tridiagonal(H, mu_H: float, project, starts, steps: int):
-    """Three-term Lanczos recurrences on Hess + mu_H I, one per unit tangent start.
+def _shifted_hessian(H, mu_H: float):
+    """``symmat._lanczos``'s ``apply`` for Hess + mu_H I: one product
+    ``A @ [v_1 v_2 ...]`` per call, which at small widths costs far less
+    than a call per vector, since reading A bounds it."""
+    k = H.config.k
 
-    The recurrences are independent, but each step multiplies all their
-    current vectors by A in one call, ``A @ [v_1 v_2 ...]``: the product is
-    bound by reading A, so at small widths the extra columns cost far less
-    than a second call.  A recurrence whose Krylov space closes stops there,
-    and the others go on at their own width.  Only the last two basis vectors of each are
-    held, so memory stays O(D) per start.  Each new vector is projected back
-    onto the tangent space with ``project``: the shifted operator acts on the
-    normal space as mu_H, at the top of the tangent spectrum once the
-    curvature is small, so roundoff there would grow like a top
-    eigencomponent and push Ritz values above the spectrum.  Returns the
-    diagonal and off-diagonal of each tridiagonal matrix, in the order of
-    ``starts``.
-    """
-    k = starts[0].shape[1]
-    alpha: list[list[float]] = [[] for _ in starts]
-    beta: list[list[float]] = [[] for _ in starts]
-    v_prev, v = [None] * len(starts), list(starts)
-    live = list(range(len(starts)))
-    for j in range(steps):
-        block = v[live[0]] if len(live) == 1 else np.hstack([v[i] for i in live])
-        products = H.A.dot(block)
-        going = []
-        for c, i in enumerate(live):
-            w = H._apply_product(v[i], products[:, c * k:(c + 1) * k]) + mu_H * v[i]
-            if v_prev[i] is not None:
-                w -= beta[i][-1] * v_prev[i]
-            alpha[i].append(float(np.sum(w * v[i])))
-            w = project(w - alpha[i][-1] * v[i])
-            b = float(np.linalg.norm(w))
-            if j + 1 == steps or b <= _BREAKDOWN * mu_H:
-                continue
-            beta[i].append(b)
-            v_prev[i], v[i] = v[i], w / b
-            going.append(i)
-        live = going
-        if not live:
-            break
-    return [(np.array(a), np.array(b)) for a, b in zip(alpha, beta)]
-
-
-def _lanczos_combination(H, mu_H: float, project, start: np.ndarray, alpha: np.ndarray,
-                         beta: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_j coef_j v_j over the Lanczos basis that ``_lanczos_tridiagonal``
-    built from ``start``.
-
-    Replays that recurrence alone with the stored coefficients, in the same
-    order of operations, at the cost of len(alpha) - 1 products.  The basis is
-    rebuilt bit for bit when the start ran alone, and when it ran beside
-    another wherever a column of the wider product equals the product of that
-    column alone (CSR products; dense BLAS products at some shapes differ in
-    roundoff, and so does the rebuilt basis).
-    """
-    out = coef[0] * start
-    v_prev, v = None, start
-    for j, b in enumerate(beta):
-        w = H.apply_rows(v) + mu_H * v
-        if v_prev is not None:
-            w -= beta[j - 1] * v_prev
-        w = project(w - alpha[j] * v)
-        v_prev, v = v, w / b
-        out += coef[j + 1] * v
-    return out
+    def apply(vs):
+        products = H.A.dot(vs[0] if len(vs) == 1 else np.hstack(vs))
+        return [H._apply_product(v, products[:, c * k:(c + 1) * k]) + mu_H * v
+                for c, v in enumerate(vs)]
+    return apply
 
 
 class _Search(NamedTuple):
@@ -564,8 +510,9 @@ def _eigen_direction(state: _State, geom, opts: SolverOptions, epsilon: float,
 
     When the top Ritz value certifies curvature at most ``epsilon``, ``lam_h``
     is that value and ``u`` the start vector, whose curvature it bounds.
-    Otherwise ``u`` is the Ritz vector, rebuilt by a second pass and
-    re-projected onto the tangent space, and ``lam_h`` its Rayleigh quotient.
+    Otherwise ``u`` is the Ritz vector, rebuilt by running the same
+    recurrences again and re-projected onto the tangent space, and ``lam_h``
+    its Rayleigh quotient.
 
     ``pair`` runs the certificate's retry beside it: a second search from the
     next start drawn from ``rng``, with the same step count, whose products
@@ -577,23 +524,33 @@ def _eigen_direction(state: _State, geom, opts: SolverOptions, epsilon: float,
     starts = [H.random_tangent(rng) for _ in range(1 + pair)]
     steps, capped = _krylov_step_count(opts, geom.n, geom.tangent_dim(), mu_H,
                                        epsilon, lam_prev)
+    # the shifted operator is mu_H on the normal space, the top of the tangent
+    # spectrum near a critical point, so roundoff left there by an unprojected
+    # Lanczos vector would grow and push Ritz values above the spectrum
     project = functools.partial(stiefel.project_rows, state.config)
-    runs = _lanczos_tridiagonal(H, mu_H, project, [u.rows for u in starts], steps)
+    run = functools.partial(_lanczos, _shifted_hessian(H, mu_H), project,
+                            [u.rows for u in starts], mu_H)
+    *_, (alphas, betas, _) = itertools.islice(run(), steps)
     searches = []
-    for u, (alpha, beta) in zip(starts, runs):
+    for i, (u, alpha, beta) in enumerate(zip(starts, alphas, betas)):
         # the tridiagonal is small (the step count), so a dense solve is cheap
         # and keeps scipy.linalg out of the process
-        theta, coef = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        theta, coef = np.linalg.eigh(_tridiagonal(alpha, beta))
         lam_h = float(theta[-1]) - mu_H
         certified = lam_h <= epsilon
         if not certified:
-            rows = project(_lanczos_combination(H, mu_H, project, u.rows, alpha, beta,
-                                                coef[:, -1]))
+            # the Ritz vector sum_j coef_j v_j from a replay of the whole run: a
+            # dense product of another width differs in roundoff, which lost
+            # orthogonality in a long run amplifies until the vector is noise
+            rows = coef[0, -1] * u.rows
+            for c, (_, _, v) in zip(coef[1:, -1], run()):
+                rows += c * v[i]
+            rows = project(rows)
             u = type(u)(rows / np.linalg.norm(rows), state.config)
             lam_h = H.rayleigh(u)
         if float(np.sum(u.rows * state.grad)) < 0.0:
             u = _scaled(u, -1.0)
-        searches.append(_Search(u, lam_h, certified, int(alpha.size), capped))
+        searches.append(_Search(u, lam_h, certified, len(alpha), capped))
         if not certified:
             break
     return searches

@@ -4,6 +4,10 @@ A :class:`SymmetricMatrix` wraps either a dense array or a sparse CSR core,
 plus an optional lazy uniform rank-one term ``shift * ones @ ones.T``.  The
 lazy term keeps centered adjacency matrices (sparse graph minus a constant)
 cheap to multiply: a mat-vec stays O(nnz + n) instead of densifying.
+
+The one Lanczos recurrence of the package lives here too: it estimates the
+spectral norm, and the solver runs it on the shifted tangent Hessian for
+its curvature searches and their Ritz vectors.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ _SPARSE_DENSITY_CUTOFF = 0.10
 
 
 class OpnormEstimate(NamedTuple):
-    """Result of the power-iteration spectral norm estimator."""
+    """Result of the Lanczos spectral norm estimator; ``iterations`` counts
+    its steps, one product ``A @ v`` each."""
 
     value: float
     converged: bool
@@ -185,45 +190,78 @@ class SymmetricMatrix:
 
 def opnorm_estimate(A: SymmetricMatrix, rel_tol: float = 1e-3,
                     max_iters: int = 500, seed: int = 0) -> OpnormEstimate:
-    """Spectral norm estimate by power iteration on A^2.
+    """Spectral norm estimate: the largest |Ritz value| of Lanczos from a random start.
 
-    Iterating ``v <- A(Av)`` (then normalizing) targets the largest
-    eigenvalue of A^2, so negative extreme eigenvalues are handled.  The
-    returned estimate is ``||A v||`` for the final unit iterate, hence never
-    exceeds the true norm.  Convergence requires the relative change of the
-    estimate to stay below ``rel_tol`` for 3 consecutive iterations.
+    Ritz values lie inside the spectrum, in floating point up to roundoff
+    (Paige), so the estimate never exceeds the true norm.  Each step takes
+    one product ``A @ v``; ``iterations`` counts the steps.  The estimate has
+    converged once its relative change stays at most ``rel_tol`` for 3
+    consecutive steps, or once the Krylov space closes (at the latest after
+    n steps); otherwise the run stops unconverged after ``max_iters`` steps.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.n)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
+    if A.n == 0:
         return OpnormEstimate(0.0, True, 0)
-    v = v / nv
+    v = np.random.default_rng(seed).standard_normal(A.n)
+    run = _lanczos(lambda vs: [A.dot(vs[0])], lambda w: w, [v / np.linalg.norm(v)], A.l1_norm())
     est = 0.0
     streak = 0
-    for it in range(1, max_iters + 1):
-        w = A.dot(v)
-        new_est = float(np.linalg.norm(w))
-        if new_est == 0.0:
-            return OpnormEstimate(0.0, True, it)
-        w2 = A.dot(w)
-        nw2 = np.linalg.norm(w2)
-        if nw2 == 0.0:
-            # A^2 v = 0 with Av != 0 cannot happen for symmetric A
-            return OpnormEstimate(new_est, True, it)
-        v = w2 / nw2
+    for it, (alpha, beta, _) in zip(range(1, min(max_iters, A.n) + 1), run):
+        new_est = float(np.abs(np.linalg.eigvalsh(_tridiagonal(alpha[0], beta[0]))).max())
         if abs(new_est - est) <= rel_tol * max(new_est, 1e-300):
             streak += 1
         else:
             streak = 0
         est = new_est
-        if streak >= 3:
+        if streak >= 3 or len(beta[0]) < it:
             return OpnormEstimate(est, True, it)
-    return OpnormEstimate(est, False, max_iters)
+    return OpnormEstimate(est, it == A.n, it)
+
+
+# -- Lanczos -------------------------------------------------------------------
+
+# a residual this small relative to the operator's scale means the Krylov space closed
+_BREAKDOWN = 1e-12
+
+
+def _lanczos(apply, project, starts, scale: float):
+    """Three-term Lanczos recurrences of a symmetric operator, one per unit start.
+
+    ``apply`` maps the list of the live recurrences' current vectors to new
+    arrays, their images, in one call.  ``project`` (the identity, or the
+    projection onto the operator's subspace) acts on each new residual; a
+    residual norm at most ``_BREAKDOWN * scale`` closes that recurrence.
+    Each ``next`` takes one step and yields ``(alpha, beta, v)``: per start,
+    the diagonal, the off-diagonal (one entry shorter once closed) and the
+    newest basis vector.  The generator ends when every recurrence is closed.
+    """
+    alpha: list[list[float]] = [[] for _ in starts]
+    beta: list[list[float]] = [[] for _ in starts]
+    v_prev, v = [None] * len(starts), list(starts)
+    live = list(range(len(starts)))
+    while live:
+        going = []
+        for i, w in zip(live, apply([v[i] for i in live])):
+            if v_prev[i] is not None:
+                w -= beta[i][-1] * v_prev[i]
+            alpha[i].append(float(np.sum(w * v[i])))
+            w = project(w - alpha[i][-1] * v[i])
+            b = float(np.linalg.norm(w))
+            if b > _BREAKDOWN * scale:
+                beta[i].append(b)
+                v_prev[i], v[i] = v[i], w / b
+                going.append(i)
+        live = going
+        yield alpha, beta, v
+
+
+def _tridiagonal(alpha, beta) -> np.ndarray:
+    """The dense tridiagonal matrix of one recurrence of ``_lanczos``."""
+    a, b = np.array(alpha), np.array(beta[:len(alpha) - 1])
+    return np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
 
 
 # -- text serialization ------------------------------------------------------

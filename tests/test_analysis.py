@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,13 @@ class TestGrothendieckCheck:
         est = SdpEstimate(1.0, 1.0, rank_used=4, epsilon_used=1.0)
         with pytest.raises(ValueError):
             grothendieck_check(A, cfg, 0.1, est)
+
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
+    def test_epsilon_out_of_range_rejected(self, eps):
+        A = instances.goe(5, 0)
+        est = SdpEstimate(1.0, 1.0, rank_used=4, epsilon_used=1.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            grothendieck_check(A, random_config(5, 3, 0), eps, est)
 
     def test_end_to_end_goe_holds(self):
         for seed in range(2):

@@ -230,12 +230,20 @@ class TestUsageErrors:
         ["maxcut", "--d", "5", "--samples", "0"],
         ["maxcut", "--d", "5", "--k-grid", "1", "--solver", "rtr-a"],
         ["gen", "--model", "spiked", "--lam", "-1"],
+        ["solve", "--in", "m.symmat", "--k", "2", "--eps", "0"],
+        ["solve", "--in", "m.symmat", "--k", "2", "--eps", "nan"],
+        ["solve", "--in", "m.symmat", "--k", "2", "--eps", "-1"],
+        ["solve", "--in", "m.symmat", "--k", "2", "--eps", "inf"],
     ])
     def test_bad_flag_value_exits_2(self, tmp_path, monkeypatch, argv):
         if argv[0] != "solve" and "--n" not in argv:
             argv = argv + ["--n", 20]
         if argv[0] != "solve":
             argv = argv + ["--out", tmp_path / "x.csv"]
+        else:  # a readable matrix file, so that only the flag is at fault
+            mat = tmp_path / "m.symmat"
+            mat.write_text("symmat n 6\n0 1 1\n")
+            argv = [mat if a == "m.symmat" else a for a in argv]
         if argv[0] == "sbm" and "--ab" not in argv:
             argv += ["--ab", "12,4"]
 
@@ -306,6 +314,7 @@ class TestUsageErrors:
         "config n 4 k 2\n" + "1 0\n" * 4,  # n differs from the matrix's 6
         "occonfig m 1 d 4 k 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",  # d = 4 does not divide 6
         "config n 6 k 1\n" + "1\n" * 6,  # k_d = 1: the bound is void
+        "config n 6 k 2\n" + "1 0\n" * 6,  # a good config, with --eps out of range
     ])
     def test_check_rejects_a_config_before_estimating(self, tmp_path, capsys, monkeypatch, text):
         mat = tmp_path / "m.symmat"
@@ -317,6 +326,13 @@ class TestUsageErrors:
             raise AssertionError("the estimate ran before validation")
 
         monkeypatch.setattr(analysis, "estimate_sdp", no_estimate)
+        argv = ["check", "--in-matrix", mat, "--in-config", cfg]
+        if text.startswith("config n 6 k 2"):
+            for eps in ("-1", "nan", "inf"):
+                assert exit_code(argv + ["--eps", eps]) == 2
+                assert (f"error: argument --eps: invalid nonnegative float value: '{eps}'"
+                        in capsys.readouterr().err)
+            return
         for eps in ([], ["--eps", 0.1]):
-            assert run(["check", "--in-matrix", mat, "--in-config", cfg] + eps) == 2
+            assert run(argv + eps) == 2
             assert capsys.readouterr().err.startswith("error: ")

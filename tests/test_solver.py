@@ -1,11 +1,12 @@
 import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from lowranksdp import instances, solver, sphere, stiefel
+from lowranksdp import instances, solver, sphere, stiefel, symmat
 from lowranksdp.solver import (
     MODE_EIGEN_ONLY,
     MODE_GRADIENT_EIGEN,
@@ -238,9 +239,12 @@ class TestPairedLanczos:
 
     @staticmethod
     def recurrences(A, cfg, starts, steps):
-        project = functools.partial(stiefel.project_rows, cfg)
-        return solver._lanczos_tridiagonal(HessianOperator(A, cfg), 4.0 * A.l1_norm(), project,
-                                           starts, steps)
+        """Diagonal and off-diagonal of ``steps`` Lanczos steps on Hess + 4||A||_1 I."""
+        mu = 4.0 * A.l1_norm()
+        run = symmat._lanczos(solver._shifted_hessian(HessianOperator(A, cfg), mu),
+                              functools.partial(stiefel.project_rows, cfg), starts, mu)
+        *_, (alphas, betas, _) = itertools.islice(run, steps)
+        return [(np.array(a), np.array(b[:len(a) - 1])) for a, b in zip(alphas, betas)]
 
     @pytest.mark.parametrize("model", ["-erdos_renyi", "sbm", "goe"])
     def test_pair_equals_two_single_runs(self, model, monkeypatch):
@@ -286,6 +290,37 @@ class TestPairedLanczos:
         assert a1.size == 3 and b1.size == 2  # the Krylov space closed at step 3
         assert seen == [k] + [2 * k] * 3 + [k] * (steps - 3)
         assert np.array_equal(a2, alone[0]) and np.array_equal(b2, alone[1])
+
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_ritz_vector_replays_one_product_fewer(self, pair, monkeypatch):
+        A, k = instances.goe(120, 5), 4
+        geom = solver._Geometry(A, k, "sphere")
+        state = geom.evaluate(random_config(A.n, k, 6))
+        opts = SolverOptions(k=k, max_power_iters=25)  # well below the tangent dimension
+        seen = self.widths(monkeypatch)
+        search, = solver._eigen_direction(state, geom, opts, 1e-8, None,
+                                          np.random.default_rng(7), pair=pair)
+        assert not search.certified and search.steps == 25
+        # the search (beside its retry when paired), the replay that rebuilds
+        # the Ritz vector at the same width, then its Rayleigh quotient
+        width = (1 + pair) * k
+        assert seen == [width] * search.steps + [width] * (search.steps - 1) + [k]
+
+    def test_paired_ritz_vector_matches_the_dense_oracle(self):
+        # run to the tangent dimension, a dense pair has lost orthogonality; a
+        # replay of one start at width k drifts from the width-2k run in
+        # roundoff, and the loss amplifies the drift (seed 1 then gave a Ritz
+        # vector 0.034 mu_H below the top curvature, a negative Rayleigh value)
+        for seed in range(4):
+            A = instances.goe(60, 9500 + seed)
+            cfg = projected_gradient_ascent(A, random_config(60, 3, 9600 + seed), iters=4000,
+                                            grad_tol=0.9 * A.opnorm()).sigma
+            geom = solver._Geometry(A, 3, "sphere")
+            search = solver._eigen_direction(geom.evaluate(cfg), geom, SolverOptions(k=3), 0.02,
+                                             None, np.random.default_rng(seed), pair=True)[0]
+            assert not search.certified and search.steps == geom.tangent_dim()
+            lam_max = oracles.tangent_hessian_lambda_max(A, cfg)
+            assert abs(search.lam_h - lam_max) <= 1e-12 * geom.mu_H
 
     def test_certified_solve_takes_one_product_per_step_pair(self, monkeypatch):
         A = instances.goe(40, 3)

@@ -109,15 +109,28 @@ class TestOpnorm:
         est = opnorm_estimate(SymmetricMatrix(np.zeros((4, 4))))
         assert est.value == 0.0 and est.converged
 
-    def test_goe_against_dense_eigensolver(self):
+    @pytest.mark.parametrize("model", ["goe", "-erdos_renyi", "centered_sbm", "negative_top"])
+    def test_goe_against_dense_eigensolver(self, model):
+        # the solver's gradient threshold and the benchmark's check of the
+        # gradient norm against ||A||_2 need the estimate to be a lower bound
         rng = np.random.default_rng(7)
         g = rng.standard_normal((200, 200))
         w = (g + g.T) / np.sqrt(400.0)
-        A = SymmetricMatrix(w)
-        truth = float(np.abs(np.linalg.eigvalsh(w)).max())
-        est = opnorm_estimate(A, rel_tol=1e-4, max_iters=5000, seed=3)
-        assert est.converged
-        assert est.value <= truth + 1e-12
+        x = rng.standard_normal(200)
+        A = {"goe": lambda: SymmetricMatrix(w),
+             "-erdos_renyi": lambda: -instances.erdos_renyi(300, 8, 1),
+             "centered_sbm": lambda: instances.sbm(300, 12, 4, 2).A,
+             # GOE with a negative outlier near -4.25 beyond its edge at 2
+             "negative_top": lambda: SymmetricMatrix(w - 4.0 * np.outer(x, x) / (x @ x))}[model]()
+        assert (A.shift != 0.0) == (model == "centered_sbm")
+        evals = np.linalg.eigvalsh(A.to_dense())
+        truth = float(max(-evals[0], evals[-1]))
+        if model in ("-erdos_renyi", "negative_top"):
+            assert -evals[0] > evals[-1]
+        max_iters = 5000
+        est = opnorm_estimate(A, rel_tol=1e-4, max_iters=max_iters, seed=3)
+        assert est.converged and est.iterations <= min(max_iters, A.n)
+        assert est.value <= truth * (1.0 + 1e-12)
         assert est.value >= (1.0 - 1e-3) * truth
 
     def test_never_exceeds_l1(self):
