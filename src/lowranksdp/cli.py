@@ -49,14 +49,18 @@ def _list_of(convert, size=None):
 
 
 def _positive(convert, zero_ok=False):
-    """Argument type: a finite ``convert`` value above zero (or at least zero)."""
+    """Argument type: a ``convert`` value above zero (or at least zero) within float range."""
     def parse(text: str):
         value = convert(text)
-        if not (math.isfinite(value) and (value > 0 or zero_ok and value == 0)):
+        # fails on nan, inf and an int beyond float range, where math.isfinite would overflow
+        if not (abs(value) <= sys.float_info.max and (value > 0 or zero_ok and value == 0)):
             raise ValueError(text)
         return value
     parse.__name__ = f"{'nonnegative' if zero_ok else 'positive'} {convert.__name__}"
     return parse
+
+
+_nonnegative_int = _positive(int, zero_ok=True)
 
 
 def _check_ranks(ks, d=1, certified=True) -> None:
@@ -87,25 +91,26 @@ def _seeds(args) -> list[int]:
     return args.seeds or [args.base_seed + i for i in range(args.num_seeds)]
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_sweep(path, header, rows, key, strict_failure=False) -> int:
-    """Sort and write a sweep's rows; the exit code is 3 on a strict failure."""
-    rows.sort(key=key)
-    _write_csv(path, header, rows)
-    print(f"wrote {path} ({len(rows)} rows)")
-    return 3 if strict_failure else 0
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
+
+
+def _write_csv(path, rows, sort_by=()) -> None:
+    """Write dict rows, sorted by the ``sort_by`` columns, under a header of their keys."""
+    rows = sorted(rows, key=lambda row: tuple(row[col] for col in sort_by))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(rows[0])
+        writer.writerows([_fmt(value) for value in row.values()] for row in rows)
+
+
+def _write_sweep(path, rows, sort_by, strict=False) -> int:
+    """Write a sweep's rows; the exit code is 3 under ``strict`` when a row has not converged."""
+    _write_csv(path, rows, sort_by)
+    print(f"wrote {path} ({len(rows)} rows)")
+    return 3 if strict and not all(row["converged"] for row in rows) else 0
 
 
 def _maximizer(A, k, seed, args, *, manifold="sphere", epsilon=None, warm=True):
@@ -123,11 +128,18 @@ def _maximizer(A, k, seed, args, *, manifold="sphere", epsilon=None, warm=True):
 
 
 def _recovery(inst, seed, args):
-    """The report of a planted instance's solve and its two squared label overlaps."""
+    """The report of a planted instance's solve and its two squared label overlaps, by column."""
     rep = _maximizer(inst.A, args.k, seed + 1, args)
-    corr = analysis.correlation(rep.sigma, inst.ground_truth)
-    sign_corr = (float(analysis.principal_sign(rep.sigma) @ inst.ground_truth) / args.n) ** 2
-    return rep, corr, sign_corr
+    sign = analysis.principal_sign(rep.sigma)
+    return rep, {"correlation": analysis.correlation(rep.sigma, inst.ground_truth),
+                 "sign_correlation": (float(sign @ inst.ground_truth) / args.n) ** 2}
+
+
+def _bound(A, sigma, f, eps, est) -> dict:
+    """The certificate-bound columns of a configuration ``sigma`` with objective ``f``."""
+    holds, slack = analysis.grothendieck_check(A, sigma, eps, est)
+    return {"f": f, "sdp_est": est.value_plus, "rg_est": est.rg,
+            "gap": est.value_plus - f, "bound_slack": slack, "holds": holds}
 
 
 # -- gen -----------------------------------------------------------------------
@@ -199,9 +211,7 @@ def _cmd_solve(args) -> int:
     if args.out_config:
         stiefel.write_config(rep.sigma, args.out_config)
     print(rep.summary_line())
-    if args.strict and not rep.converged:
-        return 3
-    return 0
+    return 3 if args.strict and not rep.converged else 0
 
 
 # -- check ---------------------------------------------------------------------
@@ -221,20 +231,13 @@ def _cmd_check(args) -> int:
     eps = args.eps if args.eps is not None else solver.default_epsilon(A, config.k, manifold)
     est = analysis.estimate_sdp(A, seed=args.seed, manifold=manifold,
                                 pga_iters=args.pga_iters)
-    holds, slack = analysis.grothendieck_check(A, config, eps, est)
-    print(f"holds={holds} slack={slack:.10g} sdp_est={est.value_plus:.10g} "
+    row = {"model": "file", "n": A.n, "k": config.k, "seed": args.seed, "eps": eps,
+           **_bound(A, config, stiefel.oc_objective(A, config), eps, est)}
+    print(f"holds={row['holds']} slack={row['bound_slack']:.10g} sdp_est={est.value_plus:.10g} "
           f"rg_est={est.rg:.10g} eps={eps:.6g} converged_est={est.converged}")
     if args.out:
-        f_val = stiefel.oc_objective(A, config)
-        _write_csv(args.out,
-                   ["model", "n", "k", "seed", "eps", "f", "sdp_est", "rg_est",
-                    "gap", "bound_slack", "holds"],
-                   [[ "file", A.n, config.k, args.seed, _fmt(eps), _fmt(f_val),
-                      _fmt(est.value_plus), _fmt(est.rg),
-                      _fmt(est.value_plus - f_val), _fmt(slack), holds]])
-    if args.strict and not (holds and est.converged):
-        return 3
-    return 0
+        _write_csv(args.out, [row])
+    return 3 if args.strict and not (row["holds"] and est.converged) else 0
 
 
 # -- experiment sweeps -----------------------------------------------------------
@@ -243,60 +246,43 @@ def _cmd_check(args) -> int:
 def _cmd_z2sync(args) -> int:
     _check_ranks([args.k], certified=args.solver != "pga")
     rows = []
-    ok = True
     for lam in args.lam_grid:
         for seed in _seeds(args):
-            rep, corr, sign_corr = _recovery(instances.spiked(args.n, lam, seed), seed, args)
-            ok = ok and rep.converged
-            rows.append([ "spiked", args.n, args.k, _fmt(lam), seed, args.solver,
-                          _fmt(rep.objective), _fmt(rep.grad_norm), _fmt(corr),
-                          _fmt(sign_corr), rep.converged])
-    return _write_sweep(args.out,
-                        ["model", "n", "k", "lam", "seed", "solver", "f", "grad_norm",
-                         "correlation", "sign_correlation", "converged"],
-                        rows, lambda r: (float(r[3]), r[4]), args.strict and not ok)
+            rep, overlaps = _recovery(instances.spiked(args.n, lam, seed), seed, args)
+            rows.append({"model": "spiked", "n": args.n, "k": args.k, "lam": lam, "seed": seed,
+                         "solver": args.solver, "f": rep.objective, "grad_norm": rep.grad_norm,
+                         **overlaps, "converged": rep.converged})
+    return _write_sweep(args.out, rows, ("lam", "seed"), args.strict)
 
 
 def _cmd_sbm(args) -> int:
     _check_sbm(args.n, args.ab)
     _check_ranks([args.k], certified=args.solver != "pga")
     rows = []
-    ok = True
     for a, b in args.ab:
         for seed in _seeds(args):
-            rep, corr, sign_corr = _recovery(instances.sbm(args.n, a, b, seed), seed, args)
-            ok = ok and rep.converged
-            rows.append(["sbm", args.n, args.k, _fmt(a), _fmt(b),
-                         _fmt(instances.sbm_snr(a, b)), seed, args.solver,
-                         _fmt(rep.objective), _fmt(corr), _fmt(sign_corr),
-                         rep.converged])
-    return _write_sweep(args.out,
-                        ["model", "n", "k", "a", "b", "snr", "seed", "solver", "f",
-                         "correlation", "sign_correlation", "converged"],
-                        rows, lambda r: (float(r[3]), float(r[4]), r[6]),
-                        args.strict and not ok)
+            rep, overlaps = _recovery(instances.sbm(args.n, a, b, seed), seed, args)
+            rows.append({"model": "sbm", "n": args.n, "k": args.k, "a": a, "b": b,
+                         "snr": instances.sbm_snr(a, b), "seed": seed, "solver": args.solver,
+                         "f": rep.objective, **overlaps, "converged": rep.converged})
+    return _write_sweep(args.out, rows, ("a", "b", "seed"), args.strict)
 
 
 def _cmd_maxcut(args) -> int:
     _check_er(args.n, args.d)
     _check_ranks(args.k_grid, certified=args.solver != "pga")
     rows = []
-    ok = True
-    high_rank = int(math.ceil(math.sqrt(2.0 * args.n))) + 1
     for seed in _seeds(args):
         A_G = instances.erdos_renyi(args.n, args.d, seed)
         negA = -A_G
+        high_rank = analysis._estimate_rank(A_G, "sphere")
         for k, is_high in [(k, False) for k in args.k_grid] + [(high_rank, True)]:
             rep = _maximizer(negA, k, seed + 1, args)
-            ok = ok and rep.converged
             rounded = analysis.gw_round(A_G, rep.sigma, args.samples, seed + 2)
-            rows.append(["er", args.n, _fmt(args.d), k, is_high, seed,
-                         args.solver, args.samples, _fmt(rep.objective),
-                         _fmt(rounded.value), rep.converged])
-    return _write_sweep(args.out,
-                        ["model", "n", "d", "k", "high_rank", "seed", "solver",
-                         "samples", "f", "cut", "converged"],
-                        rows, lambda r: (r[3], r[5]), args.strict and not ok)
+            rows.append({"model": "er", "n": args.n, "d": args.d, "k": k, "high_rank": is_high,
+                         "seed": seed, "solver": args.solver, "samples": args.samples,
+                         "f": rep.objective, "cut": rounded.value, "converged": rep.converged})
+    return _write_sweep(args.out, rows, ("k", "seed"), args.strict)
 
 
 def _cmd_landscape(args) -> int:
@@ -308,35 +294,28 @@ def _cmd_landscape(args) -> int:
     for seed in _seeds(args):
         A = instances.goe(args.n, seed)
         est = analysis.estimate_sdp(A, seed=seed + 10_000, pga_iters=args.pga_iters)
-        step = args.pga_step if args.pga_step is not None else 1.0 / (20.0 * A.l1_norm())
         for k in args.k_grid:
             epsilon = solver.default_epsilon(A, k)
             sigma = sphere.random_config(args.n, k, seed + 1)
             it = 0
             while it < args.pga_iters:
                 burst = min(args.stride, args.pga_iters - it)
-                rep = solver.projected_gradient_ascent(A, sigma, step=step,
-                                                       iters=burst,
-                                                       record_every=10**9)
+                rep = solver.projected_gradient_ascent(A, sigma, step=args.pga_step,
+                                                       iters=burst, record_every=10**9)
                 sigma = rep.sigma
                 it += burst
                 # a Lanczos lower bound on the top Hessian curvature
                 _, _, curvature = solver.direction_finding(A, sigma, math.inf,
                                                            epsilon=epsilon, seed=seed + 2)
-                gap2n = 2.0 * (est.value_plus - rep.objective) / args.n
-                traj_rows.append(["goe", args.n, k, seed, it, _fmt(curvature),
-                                  _fmt(gap2n), _fmt(rep.objective),
-                                  _fmt(rep.grad_norm)])
-            final_rows.append(["goe", args.n, k, seed,
-                               _fmt(est.value_plus - rep.objective),
-                               _fmt(est.value_plus), _fmt(est.rg),
-                               _fmt(rep.objective)])
-    _write_sweep(args.out, ["model", "n", "k", "seed", "iter", "curvature",
-                            "gap_2_over_n", "f", "grad_norm"],
-                 traj_rows, lambda r: (r[2], r[3], r[4]))
-    return _write_sweep(str(args.out) + ".final.csv",
-                        ["model", "n", "k", "seed", "gap", "sdp_est", "rg_est", "f"],
-                        final_rows, lambda r: (r[2], r[3]))
+                traj_rows.append({"model": "goe", "n": args.n, "k": k, "seed": seed, "iter": it,
+                                  "curvature": curvature,
+                                  "gap_2_over_n": 2.0 * (est.value_plus - rep.objective) / args.n,
+                                  "f": rep.objective, "grad_norm": rep.grad_norm})
+            final_rows.append({"model": "goe", "n": args.n, "k": k, "seed": seed,
+                               "gap": est.value_plus - rep.objective, "sdp_est": est.value_plus,
+                               "rg_est": est.rg, "f": rep.objective})
+    _write_sweep(args.out, traj_rows, ("k", "seed", "iter"))
+    return _write_sweep(str(args.out) + ".final.csv", final_rows, ("k", "seed"))
 
 
 def _cmd_ocsdp(args) -> int:
@@ -345,35 +324,28 @@ def _cmd_ocsdp(args) -> int:
         raise _UsageError(f"--d {d} does not divide n = {args.n}")
     _check_ranks(args.k_grid, d)
     rows = []
-    ok = True
     for seed in _seeds(args):
         A = instances.goe(args.n, seed).with_block_dim(d)
         est = analysis.estimate_sdp(A, seed=seed + 10_000, manifold="stiefel",
                                     pga_iters=args.pga_iters)
         for k in args.k_grid:
             rep = _maximizer(A, k, seed + 1, args, manifold="stiefel")
-            ok = ok and rep.converged
-            k_d = solver.effective_rank(k, d)
             eps = rep.epsilon if not math.isnan(rep.epsilon) else \
                 solver.default_epsilon(A, k, "stiefel")
-            holds, slack = analysis.grothendieck_check(A, rep.sigma, eps, est)
-            rows.append(["goe-oc", args.n, d, k, _fmt(k_d), seed, args.solver,
-                         _fmt(rep.objective), _fmt(est.value_plus), _fmt(est.rg),
-                         _fmt(est.value_plus - rep.objective), _fmt(slack),
-                         holds, rep.converged])
-    return _write_sweep(args.out,
-                        ["model", "n", "d", "k", "k_d", "seed", "solver", "f",
-                         "sdp_est", "rg_est", "gap", "bound_slack", "holds", "converged"],
-                        rows, lambda r: (r[3], r[5]), args.strict and not ok)
+            rows.append({"model": "goe-oc", "n": args.n, "d": d, "k": k,
+                         "k_d": solver.effective_rank(k, d), "seed": seed, "solver": args.solver,
+                         **_bound(A, rep.sigma, rep.objective, eps, est),
+                         "converged": rep.converged})
+    return _write_sweep(args.out, rows, ("k", "seed"), args.strict)
 
 
 # -- parser ---------------------------------------------------------------------
 
 
 def _add_seed_flags(p) -> None:
-    p.add_argument("--seeds", type=_list_of(int), help="comma-separated seed list")
-    p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--num-seeds", type=int, default=1)
+    p.add_argument("--seeds", type=_list_of(_nonnegative_int), help="comma-separated seed list")
+    p.add_argument("--base-seed", type=_nonnegative_int, default=0)
+    p.add_argument("--num-seeds", type=_positive(int), default=1)
 
 
 _PGA_ITERS_HELP = ("steps of the pga solver; in rtr modes, the cap on the "
@@ -383,7 +355,7 @@ _PGA_STEP_HELP = ("fixed step of the pga solver (default 1/(20 l1-norm)); the rt
 
 
 def _add_pga_flags(p) -> None:
-    p.add_argument("--pga-iters", type=int, default=3000, help=_PGA_ITERS_HELP)
+    p.add_argument("--pga-iters", type=_nonnegative_int, default=3000, help=_PGA_ITERS_HELP)
     p.add_argument("--pga-step", type=_positive(float), default=None, help=_PGA_STEP_HELP)
 
 
@@ -406,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("goe", "spiked", "sbm", "er", "regular"),
                    required=True)
     p.add_argument("--n", type=_positive(int), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--lam", type=_positive(float, zero_ok=True), default=1.0)
     p.add_argument("--a", type=float, default=10.0)
     p.add_argument("--b", type=float, default=2.0)
@@ -422,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_positive(float), default=None)
     p.add_argument("--mode", dest="solver", choices=_SOLVER_CHOICES, default="rtr-b")
     p.add_argument("--manifold", choices=("sphere", "stiefel"), default="sphere")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--budget", type=_positive(int), default=20_000)
     _add_pga_flags(p)
     p.add_argument("--cold-start", action="store_true",
@@ -436,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in-matrix", required=True)
     p.add_argument("--in-config", required=True)
     p.add_argument("--eps", type=_positive(float, zero_ok=True), default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pga-iters", type=int, default=2000)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--pga-iters", type=_nonnegative_int, default=2000)
     p.add_argument("--out")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=_cmd_check)

@@ -201,6 +201,21 @@ class TestSweeps:
         assert rows[0].split(",")[:5] == ["model", "n", "d", "k", "k_d"]
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["z2sync", "--n", 36, "--k", 3, "--lam-grid", 1.5],
+        ["sbm", "--n", 40, "--k", 3, "--ab", "12,4"],
+        ["maxcut", "--n", 40, "--d", 6, "--k-grid", 3, "--samples", 5],
+        ["ocsdp", "--n", 24, "--d", 3, "--k-grid", 6],
+    ])
+    def test_strict_sweep_exits_3_and_still_writes_its_rows(self, tmp_path, argv):
+        # one trust-region step from a random start cannot certify
+        out = tmp_path / "s.csv"
+        assert run(argv + ["--seeds", 0, "--solver", "rtr-b", "--budget", 1, "--pga-iters", 0,
+                           "--strict", "--out", out]) == 3
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and "False" in [row["converged"] for row in rows]
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
@@ -234,6 +249,21 @@ class TestUsageErrors:
         ["solve", "--in", "m.symmat", "--k", "2", "--eps", "nan"],
         ["solve", "--in", "m.symmat", "--k", "2", "--eps", "-1"],
         ["solve", "--in", "m.symmat", "--k", "2", "--eps", "inf"],
+        # seeds and counts: numpy rejects a negative seed only once an instance is drawn
+        ["gen", "--model", "goe", "--seed", "-1"],
+        ["solve", "--in", "m.symmat", "--k", "2", "--seed", "-1"],
+        ["z2sync", "--seeds", "-2"],
+        ["z2sync", "--seeds", "0,-1"],
+        ["sbm", "--base-seed", "-1"],
+        ["maxcut", "--d", "5", "--num-seeds", "0"],
+        ["z2sync", "--num-seeds", "-2"],
+        ["solve", "--in", "m.symmat", "--k", "2", "--pga-iters", "-1"],
+        ["ocsdp", "--n", "24", "--d", "3", "--pga-iters", "-1"],
+        # 400-digit integers, beyond float range
+        ["gen", "--model", "goe", "--n", "1" + "0" * 399],
+        ["gen", "--model", "goe", "--n", "-1" + "0" * 399],
+        ["solve", "--in", "m.symmat", "--k", "1" + "0" * 399],
+        ["maxcut", "--d", "5", "--samples", "1" + "0" * 399],
     ])
     def test_bad_flag_value_exits_2(self, tmp_path, monkeypatch, argv):
         if argv[0] != "solve" and "--n" not in argv:
@@ -328,9 +358,11 @@ class TestUsageErrors:
         monkeypatch.setattr(analysis, "estimate_sdp", no_estimate)
         argv = ["check", "--in-matrix", mat, "--in-config", cfg]
         if text.startswith("config n 6 k 2"):
-            for eps in ("-1", "nan", "inf"):
-                assert exit_code(argv + ["--eps", eps]) == 2
-                assert (f"error: argument --eps: invalid nonnegative float value: '{eps}'"
+            for flag, kind, value in [("--eps", "float", "-1"), ("--eps", "float", "nan"),
+                                      ("--eps", "float", "inf"), ("--pga-iters", "int", "-1"),
+                                      ("--seed", "int", "-1")]:
+                assert exit_code(argv + [flag, value]) == 2
+                assert (f"error: argument {flag}: invalid nonnegative {kind} value: '{value}'"
                         in capsys.readouterr().err)
             return
         for eps in ([], ["--eps", 0.1]):
