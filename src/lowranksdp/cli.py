@@ -145,38 +145,43 @@ def _bound(A, sigma, f, eps, est) -> dict:
 # -- gen -----------------------------------------------------------------------
 
 
-def _cmd_gen(args) -> int:
+def _draw(args, meta: dict):
+    """``gen``'s matrix and planted labels (or None); adds the model's parameters to ``meta``."""
     seed = args.seed
     model = args.model
-    ground_truth = None
-    meta: dict = {"model": model, "n": args.n, "seed": seed}
     if model == "goe":
-        A = instances.goe(args.n, seed)
-    elif model == "spiked":
-        inst = instances.spiked(args.n, args.lam, seed)
-        A, ground_truth = inst.A, inst.ground_truth
+        return instances.goe(args.n, seed), None
+    if model == "spiked":
         meta["lam"] = args.lam
-    elif model == "sbm":
+        inst = instances.spiked(args.n, args.lam, seed)
+        return inst.A, inst.ground_truth
+    if model == "sbm":
         _check_sbm(args.n, [(args.a, args.b)])
-        inst = instances.sbm(args.n, args.a, args.b, seed)
-        A, ground_truth = inst.A, inst.ground_truth
         meta.update(a=args.a, b=args.b, snr=instances.sbm_snr(args.a, args.b))
-    elif model == "er":
+        inst = instances.sbm(args.n, args.a, args.b, seed)
+        return inst.A, inst.ground_truth
+    if model == "er":
         _check_er(args.n, args.d)
-        A = instances.erdos_renyi(args.n, args.d, seed)
         meta["d"] = args.d
-    elif model == "regular":
+        return instances.erdos_renyi(args.n, args.d, seed), None
+    if model == "regular":
         if not (args.d.is_integer() and 0 <= args.d < args.n and args.n * args.d % 2 == 0):
             raise _UsageError(f"--d {args.d:g}: a regular graph needs an integer degree "
                               f"0 <= d < n = {args.n} with n d even")
         d = int(args.d)
-        if args.centered:
-            A = instances.centered_regular(args.n, d, seed)
-        else:
-            A = instances.random_regular(args.n, d, seed)
         meta.update(d=d, centered=bool(args.centered))
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(2)
+        if args.centered:
+            return instances.centered_regular(args.n, d, seed), None
+        return instances.random_regular(args.n, d, seed), None
+    raise SystemExit(2)  # pragma: no cover - argparse restricts choices
+
+
+def _cmd_gen(args) -> int:
+    meta: dict = {"model": args.model, "n": args.n, "seed": args.seed}
+    try:
+        A, ground_truth = _draw(args, meta)
+    except (MemoryError, instances.SizeError) as exc:  # a size numpy cannot allocate or index
+        raise _UsageError(f"--n {args.n}: {exc}") from exc
     save_symmat(A, args.out)
     if ground_truth is not None:
         meta["ground_truth"] = [int(v) for v in ground_truth]

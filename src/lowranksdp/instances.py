@@ -16,6 +16,7 @@ from .symmat import SymmetricMatrix, _mirror, _symmat
 
 __all__ = [
     "Instance",
+    "SizeError",
     "goe",
     "spiked",
     "sbm",
@@ -43,10 +44,21 @@ class Instance:
                 raise ValueError("ground truth labels must be +1/-1")
 
 
+class SizeError(ValueError):
+    """A size whose arrays or pair indices numpy cannot describe."""
+
+
+def _check_dense(n: int) -> None:
+    """Raise SizeError if an n x n float64 array is too big for numpy to describe."""
+    if n * n > np.iinfo(np.intp).max // 8:
+        raise SizeError(f"a {n} x {n} float64 array is too big to describe")
+
+
 def goe(n: int, seed) -> SymmetricMatrix:
     """Gaussian symmetric matrix: variance 2/n on the diagonal, 1/n off it."""
     if n < 1:
         raise ValueError("n must be positive")
+    _check_dense(n)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n))
     w = (g + g.T) / np.sqrt(2.0 * n)
@@ -59,6 +71,7 @@ def spiked(n: int, lam: float, seed) -> Instance:
         raise ValueError("n must be positive")
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
+    _check_dense(n)
     rng = np.random.default_rng(seed)
     u = rng.choice([-1.0, 1.0], size=n)
     g = rng.standard_normal((n, n))
@@ -66,6 +79,47 @@ def spiked(n: int, lam: float, seed) -> Instance:
     a = (lam / n) * np.outer(u, u) + w
     return Instance(A=SymmetricMatrix(a), ground_truth=u,
                     meta={"model": "spiked", "n": n, "lam": lam, "seed": seed})
+
+
+# below this many trials, an index plus one more gap cannot overflow int64
+_MAX_TRIALS = 2**62
+
+
+def _bernoulli_indices(count: int, p: float, rng) -> np.ndarray:
+    """Sorted indices in ``[0, count)`` kept by independent Bernoulli(p) trials.
+
+    The gaps between kept indices are independent Geometric(p) draws
+    (Batagelj and Brandes, Phys. Rev. E 71, 036113, 2005), so the work and
+    memory are O(count p), not O(count).
+    """
+    if count >= _MAX_TRIALS:
+        raise SizeError(f"{count} pairs reach 2^62; their indices would overflow int64")
+    kept = [np.zeros(0, dtype=np.int64)]
+    last = -1  # the last kept index
+    while count > 0 and p > 0.0:
+        rest = (count - 1 - last) * p  # the expected number still to keep
+        gaps = np.minimum(rng.geometric(p, size=int(rest + 4.0 * np.sqrt(rest) + 16)),
+                          count + 1)
+        gaps[0] += last
+        # a gap of count + 1 reaches past the end from anywhere, and from below
+        # count it cannot overflow, so the sums are exact up to the first one
+        # past the end; no later sum is read
+        pos = np.cumsum(gaps)
+        past = pos >= count
+        if past.any():
+            kept.append(pos[: past.argmax()])
+            break
+        kept.append(pos)
+        last = int(pos[-1])
+    return np.concatenate(kept)
+
+
+def _triu_pairs(n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``i < j`` at the given row-major positions of the strict upper triangle."""
+    rows = np.arange(n, dtype=np.int64)
+    start = rows * (n - 1) - rows * (rows - 1) // 2  # position of the pair (i, i + 1)
+    i = np.searchsorted(start, index, side="right") - 1
+    return i, index - start[i] + i + 1
 
 
 def sbm_snr(a: float, b: float) -> float:
@@ -93,11 +147,18 @@ def sbm(n: int, a: float, b: float, seed) -> Instance:
     rng = np.random.default_rng(seed)
     u = np.ones(n)
     u[rng.permutation(n)[: n // 2]] = -1.0
-    iu, ju = np.triu_indices(n, k=1)
-    same = u[iu] * u[ju] > 0
-    prob = np.where(same, a / n, b / n)
-    keep = rng.random(iu.size) < prob
-    adj = _mirror(n, iu[keep], ju[keep], np.ones(int(keep.sum()))).tocsr()
+    plus, minus = np.flatnonzero(u > 0), np.flatnonzero(u < 0)
+    h = n // 2
+    rows, cols = [], []
+    for group in (plus, minus):
+        i, j = _triu_pairs(h, _bernoulli_indices(h * (h - 1) // 2, a / n, rng))
+        rows.append(group[i])
+        cols.append(group[j])
+    i, j = np.divmod(_bernoulli_indices(h * h, b / n, rng), h)
+    rows.append(plus[i])
+    cols.append(minus[j])
+    iu, ju = np.concatenate(rows), np.concatenate(cols)
+    adj = _mirror(n, iu, ju, np.ones(iu.size)).tocsr()
     adjacency = SymmetricMatrix(adj)
     core = adj / np.sqrt(d)
     centered = SymmetricMatrix(core, shift=-(d / n) / np.sqrt(d))
@@ -112,9 +173,8 @@ def erdos_renyi(n: int, d_avg: float, seed) -> SymmetricMatrix:
     if not 0 < d_avg < n:
         raise ValueError("need 0 < d_avg < n")
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    keep = rng.random(iu.size) < d_avg / n
-    return _symmat(n, iu[keep], ju[keep], np.ones(int(keep.sum())))
+    i, j = _triu_pairs(n, _bernoulli_indices(n * (n - 1) // 2, d_avg / n, rng))
+    return _symmat(n, i, j, np.ones(i.size))
 
 
 def random_regular(n: int, d: int, seed) -> SymmetricMatrix:
@@ -177,15 +237,6 @@ def centered_regular(n: int, d: int, seed) -> SymmetricMatrix:
     return SymmetricMatrix(random_regular(n, d, seed)._core, shift=-float(d) / n)
 
 
-def _haar_rotation(d: int, rng) -> np.ndarray:
-    """Haar-ish member of SO(d): QR of a Gaussian with sign fix, det +1."""
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
 def so_sync(m: int, d: int, noise: float, seed) -> Instance:
     """Pairwise rotation measurements R_i^T R_j plus Gaussian block noise.
 
@@ -198,18 +249,23 @@ def so_sync(m: int, d: int, noise: float, seed) -> Instance:
     if noise < 0.0:
         raise ValueError("noise must be nonnegative")
     rng = np.random.default_rng(seed)
-    rots = np.stack([_haar_rotation(d, rng) for _ in range(m)])
+    # Haar-ish members of SO(d): QR of Gaussians with a sign fix, det +1
+    q, r = np.linalg.qr(rng.standard_normal((m, d, d)))
+    rots = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    flip = np.linalg.det(rots) < 0
+    rots[flip, :, 0] = -rots[flip, :, 0]
+    # block (i, j) is R_i^T R_j plus noise, written row by row into a view of
+    # the n x n matrix; the noise of the blocks j >= i is drawn in row-major
+    # order, symmetrized on the diagonal, and the blocks are mirrored below
     n = m * d
-    a = np.zeros((n, n))
+    a = np.empty((m, d, m, d))
+    blocks = a.transpose(0, 2, 1, 3)  # blocks[i, j] is block (i, j)
     for i in range(m):
-        for j in range(i, m):
-            block = rots[i].T @ rots[j]
-            w = rng.standard_normal((d, d))
-            if i == j:
-                w = (w + w.T) / np.sqrt(2.0)
-            a[i * d:(i + 1) * d, j * d:(j + 1) * d] = block + noise * w
-            if j > i:
-                a[j * d:(j + 1) * d, i * d:(i + 1) * d] = a[i * d:(i + 1) * d, j * d:(j + 1) * d].T
+        w = rng.standard_normal((m - i, d, d))
+        w[0] = (w[0] + w[0].T) / np.sqrt(2.0)
+        blocks[i, i:] = rots[i].T @ rots[i:] + noise * w
+        blocks[i + 1:, i] = blocks[i, i + 1:].transpose(0, 2, 1)
+    a = a.reshape(n, n)
     return Instance(A=SymmetricMatrix(a, block_dim=d), ground_truth=None,
                     meta={"model": "so_sync", "m": m, "d": d, "noise": noise,
                           "seed": seed, "rotations": rots})

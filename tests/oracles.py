@@ -97,3 +97,32 @@ def object_gradient_ascent(A, sigma0, step, iters, grad_tol=None):
         config, f, g, gn = evaluate(stiefel.oc_retract(config, g, step))
         trace.append((it, f, gn))
     return config, f, gn, trace
+
+
+def so_sync_loop(m, d, noise, seed):
+    """``instances.so_sync``'s data matrix and rotations, one d x d block at a time.
+
+    The reference for the vectorized generator: it draws the same random
+    stream in the same order, rotation by rotation and then block by block
+    over ``(i, j >= i)``, so the two must agree bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    rots = []
+    for _ in range(m):
+        q, r = np.linalg.qr(rng.standard_normal((d, d)))
+        q = q * np.sign(np.diag(r))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        rots.append(q)
+    rots = np.stack(rots)
+    a = np.zeros((m * d, m * d))
+    for i in range(m):
+        for j in range(i, m):
+            block = rots[i].T @ rots[j]
+            w = rng.standard_normal((d, d))
+            if i == j:
+                w = (w + w.T) / np.sqrt(2.0)
+            a[i * d:(i + 1) * d, j * d:(j + 1) * d] = block + noise * w
+            if j > i:
+                a[j * d:(j + 1) * d, i * d:(i + 1) * d] = a[i * d:(i + 1) * d, j * d:(j + 1) * d].T
+    return a, rots

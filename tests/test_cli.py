@@ -334,6 +334,27 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        # numpy refuses each of these before allocating anything
+        ["--model", "goe", "--n", "10000000000"],  # an array too big to describe
+        ["--model", "goe", "--n", "100000000"],  # 71 PiB, a MemoryError
+        ["--model", "er", "--n", "10000000000"],  # 5e19 pairs overflow int64 indices
+    ])
+    def test_gen_beyond_memory_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "m.symmat"
+        assert run(["gen"] + argv + ["--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: --n ")
+        assert not out.exists()
+
+    def test_gen_keeps_the_traceback_of_other_errors(self, tmp_path, monkeypatch):
+        # only sizes beyond memory are usage errors; a failing generator is not
+        def broken(n, seed):
+            raise ValueError("a fault in the generator")
+
+        monkeypatch.setattr(instances, "goe", broken)
+        with pytest.raises(ValueError, match="a fault in the generator"):
+            run(["gen", "--model", "goe", "--n", 10, "--out", tmp_path / "m.symmat"])
+
     def test_regular_needs_integer_degree(self, tmp_path, capsys):
         out = tmp_path / "r.symmat"
         assert run(["gen", "--model", "regular", "--n", 20, "--d", 3.7, "--out", out]) == 2

@@ -1,8 +1,14 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import oracles
 from lowranksdp.instances import (
+    SizeError,
     centered_regular,
     erdos_renyi,
     goe,
@@ -42,6 +48,13 @@ class TestGoe:
         A = goe(1000, 11)
         est = A.opnorm(rel_tol=1e-4, max_iters=4000)
         assert 1.8 <= est <= 2.2
+
+    def test_too_big_to_describe(self):
+        # refused before anything is drawn or allocated
+        with pytest.raises(SizeError, match="too big"):
+            goe(10**10, 0)
+        with pytest.raises(SizeError, match="too big"):
+            spiked(10**10, 1.0, 0)
 
 
 class TestSpiked:
@@ -140,6 +153,114 @@ class TestErdosRenyi:
             erdos_renyi(10, 10.0, 0)
 
 
+def assert_binomial(counts, trials, p, sigmas=4.5):
+    """Sample mean and variance of ``counts`` within ``sigmas`` standard errors of
+    Binomial(trials, p)."""
+    counts = np.asarray(counts, dtype=float)
+    s = counts.size
+    var = trials * p * (1 - p)
+    fourth = var * (1 + 3 * (trials - 2) * p * (1 - p))  # the fourth central moment
+    assert abs(counts.mean() - trials * p) <= sigmas * np.sqrt(var / s)
+    var_se = np.sqrt((fourth - var**2 * (s - 3) / (s - 1)) / s)  # of the sample variance
+    assert abs(counts.var(ddof=1) - var) <= sigmas * var_se
+
+
+def assert_frequency(hits, draws, p, sigmas=4.5):
+    """Each frequency ``hits / draws`` within ``sigmas`` standard errors of p."""
+    hits, draws = np.asarray(hits, dtype=float), np.asarray(draws, dtype=float)
+    assert np.all(np.abs(hits / draws - p) <= sigmas * np.sqrt(p * (1 - p) / draws))
+
+
+def assert_simple_graph(adj):
+    """0/1 entries, symmetric, no self-loops; a pair drawn twice would sum to 2."""
+    core = sp.csr_matrix(adj._core)
+    assert np.all(core.data == 1.0)
+    assert np.all(core.diagonal() == 0.0)
+    assert (core != core.T).nnz == 0
+
+
+class TestPairSampler:
+    """The geometric-skip draw of erdos_renyi and sbm: each pair independent, O(n + m)."""
+
+    seeds = range(3000)
+
+    def test_erdos_renyi_pair_law(self):
+        n, p = 6, 2.0 / 6
+        iu = np.triu_indices(n, 1)
+        pairs = np.array([erdos_renyi(n, 2.0, s).to_dense()[iu] for s in self.seeds])
+        assert_frequency(pairs.sum(axis=0), len(self.seeds), p)
+        assert_binomial(pairs.sum(axis=1), iu[0].size, p)
+
+    def test_sbm_pair_law(self):
+        n, a, b = 6, 4.0, 2.0
+        iu = np.triu_indices(n, 1)
+        same_hits, same_draws, cross_hits, cross_draws = np.zeros((4, iu[0].size))
+        within, cross = [], []
+        for s in self.seeds:
+            inst = sbm(n, a, b, s)
+            edge = inst.adjacency.to_dense()[iu]
+            same = (np.outer(inst.ground_truth, inst.ground_truth) > 0)[iu]
+            same_hits += edge * same
+            same_draws += same
+            cross_hits += edge * ~same
+            cross_draws += ~same
+            within.append(edge[same].sum())
+            cross.append(edge[~same].sum())
+        assert_frequency(same_hits, same_draws, a / n)
+        assert_frequency(cross_hits, cross_draws, b / n)
+        assert_binomial(within, 6, a / n)  # two triangles of 3 pairs
+        assert_binomial(cross, 9, b / n)  # a 3 x 3 rectangle
+
+    def test_simple_graphs(self):
+        assert_simple_graph(erdos_renyi(3000, 20.0, 5))
+        assert_simple_graph(sbm(3000, 20.0, 5.0, 5).adjacency)
+
+    def test_near_complete(self):
+        n = 40
+        adj = erdos_renyi(n, n - 0.5, 1)
+        assert_simple_graph(adj)
+        p = (n - 0.5) / n
+        assert_frequency(adj.to_dense().sum() / 2, n * (n - 1) / 2, p)
+
+    @pytest.mark.parametrize("n, a, b, edges", [
+        (2, 2.0, 2.0, 1),  # one cross pair, kept with b/n = 1
+        (2, 2.0, 0.0, 0),  # and with b/n = 0
+        (6, 6.0, 0.0, 6),  # both triangles complete, no cross pair
+        (6, 6.0, 6.0, 15),
+    ])
+    def test_sbm_certain_pairs(self, n, a, b, edges):
+        for s in range(5):
+            adj = sbm(n, a, b, s).adjacency
+            assert_simple_graph(adj)
+            assert adj._core.nnz == 2 * edges
+
+    def test_sbm_two_nodes(self):
+        # one cross pair, kept with probability b/n = 1/2
+        counts = [sbm(2, 2.0, 1.0, s).adjacency._core.nnz // 2 for s in range(1000)]
+        assert_binomial(counts, 1, 0.5)
+
+    def test_pair_count_beyond_int64_is_rejected(self):
+        with pytest.raises(SizeError, match="overflow int64"):
+            erdos_renyi(2**32, 1.0, 0)
+
+    @pytest.mark.parametrize("draw, degree", [(lambda: erdos_renyi(10**5, 10.0, 0), 10.0),
+                                              (lambda: sbm(10**5, 12.0, 4.0, 0).A, 8.0)])
+    def test_large_sparse_graph_in_linear_memory(self, draw, degree):
+        # a per-pair draw would need 5e9 uniforms (40 GB) here
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            A = draw()
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A.n == 10**5 and A.is_sparse
+        assert A._core.nnz / 2 == pytest.approx(10**5 * degree / 2, rel=0.01)
+        assert peak < 200e6
+        assert elapsed < 10.0
+
+
 class TestRandomRegular:
     def test_row_sums_exactly_d(self):
         for n, d in [(50, 3), (40, 4), (30, 7)]:
@@ -206,6 +327,30 @@ class TestSoSync:
         for r in rots:
             assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
             assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("m, d, noise, seed", [
+        (1, 1, 0.0, 0), (7, 1, 0.4, 1), (6, 2, 0.0, 2),
+        (9, 3, 0.3, 3), (5, 4, 1.5, 4), (20, 3, 0.1, 5),
+    ])
+    def test_matches_the_block_loop(self, m, d, noise, seed):
+        a, rots = oracles.so_sync_loop(m, d, noise, seed)
+        inst = so_sync(m, d, noise, seed)
+        assert np.array_equal(inst.A.to_dense(), a)
+        assert np.array_equal(inst.meta["rotations"], rots)
+        assert inst.meta == {"model": "so_sync", "m": m, "d": d, "noise": noise,
+                             "seed": seed, "rotations": inst.meta["rotations"]}
+
+    def test_memory_of_a_few_dense_copies(self):
+        # the matrix, the copy SymmetricMatrix keeps and its temporaries: about
+        # three n x n arrays at the peak, as in the block loop
+        m, d = 200, 3
+        tracemalloc.start()
+        try:
+            so_sync(m, d, 0.3, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * (m * d) ** 2 * 8
 
     def test_noiseless_diagonal_blocks(self):
         inst = so_sync(4, 2, 0.0, 1)
