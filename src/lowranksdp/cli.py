@@ -6,8 +6,8 @@ with the full parameter set and seed on every row, so any row can be
 re-derived by re-running its command.  Input instance files are never
 mutated.
 
-Exit codes: 0 on success, 2 on usage errors, 3 on non-convergence under
-``--strict``.
+Exit codes: 0 on success, 2 on usage errors (a count whose arrays numpy
+cannot allocate included), 3 on non-convergence under ``--strict``.
 """
 
 from __future__ import annotations
@@ -481,7 +481,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    # a MemoryError is numpy refusing an array that a count (--n, --k,
+    # --samples) asks for: the count is out of range, as gen reports it
+    except (_UsageError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,13 +22,18 @@ curvature is (with high probability) below the target epsilon; the
 certificate is retried once with a fresh start before convergence is
 declared.  The number of Lanczos steps comes from the
 Kuczynski-Wozniakowski random-start bound (SIAM J. Matrix Anal. Appl. 1992),
-so it grows like log(n) / sqrt(epsilon) where the power method's grows like
-log(n) / epsilon.  Where a certificate is expected (before the first eigen
-step of a solve) the search and its retry run side by side: two independent
-recurrences, each with its own start, step count, tridiagonal and
-certificate, whose products share one call ``A @ [V1 V2]``.  Such a pair
-counts 2 x steps Krylov steps but takes steps products.  The fixed-step
-projected-gradient-ascent baseline of the paper shares the report format.
+so it grows like log(n) sqrt(mu / epsilon) where the power method's grows
+like log(n) mu / epsilon.  The shift mu is each state's own bound on the
+Hessian's norm, 2(U + max_i ||Lambda_i||_2) capped at 2(1 + sqrt(d)) ||A||_1,
+with U >= ||A||_2 taken from the Lanczos run that estimates ||A||_2
+(``SymmetricMatrix.opnorm_upper``); U fails with probability at most 1/n,
+which the report's ``failure_prob`` adds to the searches' own.  Where a
+certificate is expected (before the first eigen step of a solve) the search
+and its retry run side by side: two independent recurrences, each with its
+own start, step count, tridiagonal and certificate, whose products share one
+call ``A @ [V1 V2]``.  Such a pair counts 2 x steps Krylov steps but takes
+steps products.  The fixed-step projected-gradient-ascent baseline of the
+paper shares the report format.
 
 There is one geometry, the frame product of ``stiefel``: the default
 ``manifold="sphere"`` is its d = 1 case, the product of spheres, and
@@ -59,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sphere, stiefel
-from .symmat import SymmetricMatrix, _lanczos, _tridiagonal
+from .symmat import SymmetricMatrix, _kw_steps, _lanczos, _tridiagonal
 
 __all__ = [
     "SolverOptions",
@@ -154,6 +159,12 @@ class SolveReport:
     ``max_power_iters`` shortened any step count below the one the
     analysis asks for; a solve whose final certificate was shortened is
     not reported as converged.
+
+    ``failure_prob`` bounds the probability that any curvature value of the
+    solve is wrong by more than the analysis allows, by a union bound: 1/n
+    for the upper bound on ||A||_2 that sizes every search's shift, plus
+    n^(-power_C/8) for each curvature search run, at most 1.  It is 0 when no
+    search ran.
     """
 
     sigma: object
@@ -171,6 +182,7 @@ class SolveReport:
     budget: int
     krylov_steps: int = 0
     cap_hit: bool = False
+    failure_prob: float = 0.0
 
     @property
     def iterations(self) -> int:
@@ -249,9 +261,21 @@ class _Geometry:
         self.A, self.k, self.d, self.n, self.m = A, k, d, A.n, A.n // d
         self.manifold = manifold
         self.l1 = A.l1_norm()
-        # upper bound on ||Hess||: 2(||A||_2 + ||Lambda||_2) <= 2(1 + sqrt(d)) ||A||_1,
-        # which is 4||A||_1 on the sphere product
-        self.mu_H = 2.0 * (1.0 + math.sqrt(d)) * self.l1
+        # ||Lambda_i||_2 <= sqrt(d) ||A||_1, so every state's shift is at most
+        # 2(1 + sqrt(d)) ||A||_1, which is 4||A||_1 on the sphere product
+        self.mu_cap = 2.0 * (1.0 + math.sqrt(d)) * self.l1
+
+    def shift(self, state: _State) -> float:
+        """An upper bound mu on ||Hess|| at ``state``, the shift of its curvature searches.
+
+        On the tangent space the Hessian is P 2(A - Lambda) P, so its norm is
+        at most 2(||A||_2 + max_i ||Lambda_i||_2); ||A||_2 is bounded by
+        ``A.opnorm_upper()``, which holds with probability at least 1 - 1/n
+        and is cached with ``A.opnorm()``.  ``mu_cap`` caps the value.
+        """
+        lam = state.lam
+        lam_norm = np.abs(lam).max() if self.d == 1 else np.linalg.norm(lam, 2, axis=(1, 2)).max()
+        return min(2.0 * (self.A.opnorm_upper() + float(lam_norm)), self.mu_cap)
 
     def tangent_dim(self) -> int:
         return self.m * (self.d * (self.k - self.d) + self.d * (self.d - 1) // 2)
@@ -452,30 +476,22 @@ def power_method(H, mu_H: float, N_H: int, seed):
     return type(start)(rows, H.config)
 
 
-# Kuczynski & Wozniakowski (SIAM J. Matrix Anal. Appl. 1992): for a positive
-# semidefinite operator on R^D and a uniformly random unit start, q Lanczos
-# steps leave the top Ritz value below (1 - e) lam_max with probability at
-# most _KW_CONST sqrt(D) exp(-sqrt(e) (2q - 1)).
-_KW_CONST = 1.648
-
-
 def _krylov_step_count(opts: SolverOptions, n: int, dim: int, mu_H: float,
                        epsilon: float, lam_prev: float | None) -> tuple[int, bool]:
     """Lanczos steps for one curvature search; returns ``(steps, capped)``.
 
-    Hess + mu_H I is positive semidefinite with top eigenvalue at most
-    2 mu_H, so relative accuracy e = lam_ref / (2 mu_H) loses at most lam_ref
-    of curvature; lam_ref is the best available lower bound on the top
-    curvature (the previous eigen Rayleigh value, floored at epsilon).  The
-    count makes the Kuczynski-Wozniakowski failure probability at most
-    n^(-power_C / 8).  It is capped at ``dim``, where the Krylov space is
-    exhausted, and at ``max_power_iters``; ``capped`` reports whether the
+    ``mu_H`` bounds ||Hess||, so Hess + mu_H I is positive semidefinite with
+    top eigenvalue at most 2 mu_H, and relative accuracy e = lam_ref / (2 mu_H)
+    loses at most lam_ref of curvature; lam_ref is the best available lower
+    bound on the top curvature (the previous eigen Rayleigh value, floored at
+    epsilon).  The count makes the Kuczynski-Wozniakowski failure probability
+    at most n^(-power_C / 8).  It is capped at ``dim``, where the Krylov space
+    is exhausted, and at ``max_power_iters``; ``capped`` reports whether the
     latter shortened it.
     """
     lam_ref = max(lam_prev if lam_prev is not None else 0.0, epsilon)
     e = min(lam_ref / (2.0 * mu_H), 1.0)
-    log_ratio = math.log(_KW_CONST * math.sqrt(dim)) + opts.power_C / 8.0 * math.log(n)
-    steps = max(min(math.ceil((log_ratio / math.sqrt(e) + 1.0) / 2.0), dim), 1)
+    steps = max(min(_kw_steps(e, dim, opts.power_C / 8.0 * math.log(n)), dim), 1)
     if opts.max_power_iters is not None and opts.max_power_iters < steps:
         return int(opts.max_power_iters), True
     return steps, False
@@ -520,7 +536,7 @@ def _eigen_direction(state: _State, geom, opts: SolverOptions, epsilon: float,
     first that does not certify; a retry behind a first search that did not
     certify is dropped unread, so only one Ritz vector is ever rebuilt.
     """
-    H, mu_H = state.hess, geom.mu_H
+    H, mu_H = state.hess, geom.shift(state)
     starts = [H.random_tangent(rng) for _ in range(1 + pair)]
     steps, capped = _krylov_step_count(opts, geom.n, geom.tangent_dim(), mu_H,
                                        epsilon, lam_prev)
@@ -595,6 +611,7 @@ class _Step(NamedTuple):
     capped: bool
     # gradient steps: the raw Barzilai-Borwein length s's/|s'y| of the step
     length: float | None = None
+    searches: int = 0  # curvature searches run
 
 
 # Armijo constant of the gradient branch: the paper's fixed step eta gains at
@@ -647,14 +664,14 @@ def _step(state: _State, geom: _Geometry, opts: SolverOptions, epsilon: float,
     search = searches[-1]
     if search.certified:
         return _Step("none", 0.0, state, max(s.lam_h for s in searches), krylov_steps,
-                     searches[0].capped)
+                     searches[0].capped, searches=len(searches))
     lam_h = search.lam_h
     if opts.mode == MODE_EIGEN_ONLY:
         eta = lam_h / (100.0 * l1)
     else:
         eta = min(math.sqrt(lam_h / (216.0 * l1)), lam_h / (12.0 * geom.A.opnorm()))
     return _Step("eigen", eta, geom.advance(state, search.u.rows, eta), lam_h, krylov_steps,
-                 search.capped)
+                 search.capped, searches=len(searches))
 
 
 def rtr_step(A: SymmetricMatrix, config, opts: SolverOptions, *,
@@ -708,13 +725,14 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None) -> SolveReport:
 
     budget = opts.max_iters if opts.max_iters is not None else worst_case_budget(A, epsilon, opts.mode)
     counts = {"gradient": 0, "eigen": 0}
-    krylov_steps = 0
+    krylov_steps = searches = 0
     cap_hit = converged = False
     lam_prev: float | None = None
     length: float | None = None  # of the last gradient step
     for it in range(1, budget + 1):
         step = _step(state, geom, opts, epsilon, lam_prev, rng, length)
         krylov_steps += step.krylov_steps
+        searches += step.searches
         cap_hit = cap_hit or step.capped
         if step.kind == "none":
             cert = step.lam_h
@@ -734,6 +752,7 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None) -> SolveReport:
         search = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)[0]
         cert = search.lam_h
         krylov_steps += search.steps
+        searches += 1
         cap_hit = cap_hit or search.capped
 
     return SolveReport(sigma=state.config, objective=state.objective, grad_norm=state.grad_norm,
@@ -741,7 +760,9 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None) -> SolveReport:
                        gradient_steps=counts["gradient"], eigen_steps=counts["eigen"],
                        trace=trace, seed=opts.seed, epsilon=epsilon, mode=opts.mode,
                        manifold=geom.manifold, budget=budget, krylov_steps=krylov_steps,
-                       cap_hit=cap_hit)
+                       cap_hit=cap_hit,
+                       failure_prob=(min(1.0 / geom.n + searches * geom.n ** (-opts.power_C / 8.0),
+                                         1.0) if searches else 0.0))
 
 
 def projected_gradient_ascent(A: SymmetricMatrix, sigma0, step: float | None = None,

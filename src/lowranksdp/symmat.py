@@ -34,12 +34,18 @@ _SPARSE_DENSITY_CUTOFF = 0.10
 
 
 class OpnormEstimate(NamedTuple):
-    """Result of the Lanczos spectral norm estimator; ``iterations`` counts
-    its steps, one product ``A @ v`` each."""
+    """Result of the Lanczos spectral norm estimator.
+
+    ``value`` is the estimate, at most ||A||_2 (up to roundoff); ``upper``
+    is at least ||A||_2 with probability at least 1 - 1/n.  ``iterations``
+    counts the run's steps, one product ``A @ v`` each, those that size the
+    upper bound included.
+    """
 
     value: float
     converged: bool
     iterations: int
+    upper: float
 
 
 def _checked_block_dim(n: int, block_dim) -> int | None:
@@ -182,43 +188,86 @@ class SymmetricMatrix:
 
     def opnorm(self, rel_tol: float = 1e-3, max_iters: int = 500, seed: int = 0) -> float:
         """Cached spectral norm estimate (see :func:`opnorm_estimate`)."""
+        return self._opnorm_run(rel_tol, max_iters, seed).value
+
+    def opnorm_upper(self) -> float:
+        """Cached upper bound on ||A||_2 from the run that ``opnorm()`` makes.
+
+        It holds with probability at least 1 - 1/n (see :func:`opnorm_estimate`).
+        """
+        return self._opnorm_run().upper
+
+    def _opnorm_run(self, rel_tol: float = 1e-3, max_iters: int = 500,
+                    seed: int = 0) -> OpnormEstimate:
         key = (rel_tol, max_iters, seed)
         if key not in self._opnorm_cache:
             self._opnorm_cache[key] = opnorm_estimate(self, rel_tol, max_iters, seed)
-        return self._opnorm_cache[key].value
+        return self._opnorm_cache[key]
+
+
+# steps every run of opnorm_estimate takes (fewer only when n or max_iters is
+# smaller) before its Ritz values size the upper bound
+_BOUND_STEPS = 16
+# relative roundoff allowance of the upper bound, at the scale ||A||_1
+_BOUND_ROUNDOFF = 1e-10
 
 
 def opnorm_estimate(A: SymmetricMatrix, rel_tol: float = 1e-3,
                     max_iters: int = 500, seed: int = 0) -> OpnormEstimate:
-    """Spectral norm estimate: the largest |Ritz value| of Lanczos from a random start.
+    """Spectral norm estimate and upper bound from one Lanczos run from a random start.
 
-    Ritz values lie inside the spectrum, in floating point up to roundoff
-    (Paige), so the estimate never exceeds the true norm.  Each step takes
-    one product ``A @ v``; ``iterations`` counts the steps.  The estimate has
-    converged once its relative change stays at most ``rel_tol`` for 3
-    consecutive steps, or once the Krylov space closes (at the latest after
-    n steps); otherwise the run stops unconverged after ``max_iters`` steps.
+    The estimate is the largest |Ritz value|.  Ritz values lie inside the
+    spectrum, in floating point up to roundoff (Paige), so the estimate never
+    exceeds the true norm.  Each step takes one product ``A @ v``.  The
+    estimate has converged once its relative change stays at most
+    ``rel_tol`` for 3 consecutive steps, or once the Krylov space closes (at
+    the latest after n steps); otherwise it stops unconverged after
+    ``max_iters`` steps.
+
+    The run then goes on, if needed, to q = min(16, max_iters, n) steps, and
+    its final Ritz values bound the norm from above (Kuczynski & Wozniakowski,
+    read backwards).  With L = ||A||_1 >= ||A||_2, both A + L I and L I - A
+    are positive semidefinite and share the run's Krylov space; their top
+    Ritz values reach (1 - e) of their top eigenvalues with probability at
+    least 1 - 1/(2n) each, where e is the accuracy ``_kw_accuracy`` gives q
+    steps.  Ritz values only move outward as steps are added (interlacing), so
+    the bound holds for the final ones whenever the run stops.  Once the
+    Krylov space closes the extreme Ritz values are eigenvalues and the bound
+    is exact.  A roundoff allowance of 1e-10 L is added, and the bound is
+    clamped to L.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if A.n == 0:
-        return OpnormEstimate(0.0, True, 0)
+        return OpnormEstimate(0.0, True, 0, 0.0)
+    l1 = A.l1_norm()
     v = np.random.default_rng(seed).standard_normal(A.n)
-    run = _lanczos(lambda vs: [A.dot(vs[0])], lambda w: w, [v / np.linalg.norm(v)], A.l1_norm())
-    est = 0.0
-    streak = 0
-    for it, (alpha, beta, _) in zip(range(1, min(max_iters, A.n) + 1), run):
-        new_est = float(np.abs(np.linalg.eigvalsh(_tridiagonal(alpha[0], beta[0]))).max())
-        if abs(new_est - est) <= rel_tol * max(new_est, 1e-300):
-            streak += 1
-        else:
-            streak = 0
-        est = new_est
-        if streak >= 3 or len(beta[0]) < it:
-            return OpnormEstimate(est, True, it)
-    return OpnormEstimate(est, it == A.n, it)
+    run = _lanczos(lambda vs: [A.dot(vs[0])], lambda w: w, [v / np.linalg.norm(v)], l1)
+    fixed = min(_BOUND_STEPS, max_iters, A.n)
+    est, streak, converged = 0.0, 0, None
+    for it, (alpha, beta, _) in enumerate(itertools.islice(run, min(max_iters, A.n)), 1):
+        closed = len(beta[0]) < it or it == A.n
+        if converged is None:
+            new_est = float(np.abs(np.linalg.eigvalsh(_tridiagonal(alpha[0], beta[0]))).max())
+            if abs(new_est - est) <= rel_tol * max(new_est, 1e-300):
+                streak += 1
+            else:
+                streak = 0
+            est = new_est
+            if streak >= 3 or closed:
+                converged = True
+        if converged and (it >= fixed or closed):
+            break
+    theta = np.linalg.eigvalsh(_tridiagonal(alpha[0], beta[0]))
+    if closed:
+        upper = max(-theta[0], theta[-1])
+    else:
+        e = _kw_accuracy(fixed, A.n, math.log(2 * A.n))
+        upper = l1 if e >= 1.0 else (max(l1 - theta[0], l1 + theta[-1]) / (1.0 - e) - l1)
+    return OpnormEstimate(est, bool(converged), it,
+                          min(float(upper) + _BOUND_ROUNDOFF * l1, l1))
 
 
 # -- Lanczos -------------------------------------------------------------------
@@ -256,6 +305,27 @@ def _lanczos(apply, project, starts, scale: float):
                 going.append(i)
         live = going
         yield alpha, beta, v
+
+
+# Kuczynski & Wozniakowski (SIAM J. Matrix Anal. Appl. 1992): for a positive
+# semidefinite operator on R^D and a uniformly random unit start, q Lanczos
+# steps leave the top Ritz value below (1 - e) lam_max with probability at
+# most _KW_CONST sqrt(D) exp(-sqrt(e) (2q - 1)).
+_KW_CONST = 1.648
+
+
+def _kw_steps(e: float, dim: int, log_inv_fail: float) -> int:
+    """The fewest Lanczos steps whose Kuczynski-Wozniakowski failure
+    probability at relative accuracy ``e`` is at most exp(-``log_inv_fail``)."""
+    log_ratio = math.log(_KW_CONST * math.sqrt(dim)) + log_inv_fail
+    return math.ceil((log_ratio / math.sqrt(e) + 1.0) / 2.0)
+
+
+def _kw_accuracy(steps: int, dim: int, log_inv_fail: float) -> float:
+    """The relative accuracy e that ``steps`` Lanczos steps reach with failure
+    probability exp(-``log_inv_fail``): the inverse of ``_kw_steps``."""
+    log_ratio = math.log(_KW_CONST * math.sqrt(dim)) + log_inv_fail
+    return (log_ratio / (2.0 * steps - 1.0)) ** 2
 
 
 def _tridiagonal(alpha, beta) -> np.ndarray:

@@ -45,6 +45,60 @@ def tangent_hessian_lambda_max(A, config):
     return float(np.linalg.eigvalsh(h).max())
 
 
+def stiefel_tangent_basis(rows, d):
+    """Orthonormal basis of the tangent space of the frame product, as columns.
+
+    ``rows`` stacks m d x k blocks sigma_i with orthonormal rows.  A tangent
+    block is Omega sigma_i + W with Omega skew and W sigma_i^T = 0: the basis
+    takes (E_ab - E_ba) sigma_i / sqrt(2) for a < b and E_a c^T for every row
+    a and every unit c of the orthogonal complement of sigma_i's row space.
+    Columns are row-major vectorizations of n x k arrays; there are
+    m (d (k - d) + d (d - 1) / 2) of them.
+    """
+    n, k = rows.shape
+    cols = []
+    for i in range(0, n, d):
+        frame = rows[i:i + d]
+        q, _ = np.linalg.qr(np.column_stack([frame.T, np.eye(k)]))
+        comp = q[:, d:k].T
+        assert np.abs(comp @ frame.T).max() < 1e-12
+        for a in range(d):
+            for c in comp:
+                u = np.zeros((n, k))
+                u[i + a] = c
+                cols.append(u.ravel())
+            for b in range(a + 1, d):
+                u = np.zeros((n, k))
+                u[i + a], u[i + b] = frame[b] / np.sqrt(2.0), -frame[a] / np.sqrt(2.0)
+                cols.append(u.ravel())
+    return np.column_stack(cols)
+
+
+def dense_stiefel_tangent_hessian(A_dense, rows, d):
+    """The frame product's Hessian as a dense symmetric matrix on an explicit basis.
+
+    With Lambda_i = sym((A sigma)_i sigma_i^T) the Hessian's quadratic form
+    is 2 <U, A U> - 2 sum_i <U_i, Lambda_i U_i>, that is
+    2 B^T ((A - blockdiag(Lambda)) kron I_k) B for the basis B of
+    ``stiefel_tangent_basis``.  At d = 1 this is ``dense_tangent_hessian``.
+    """
+    n, k = rows.shape
+    asig = A_dense @ rows
+    m = A_dense.copy()
+    for i in range(0, n, d):
+        lam = asig[i:i + d] @ rows[i:i + d].T
+        m[i:i + d, i:i + d] -= 0.5 * (lam + lam.T)
+    basis = stiefel_tangent_basis(rows, d)
+    h = 2.0 * basis.T @ np.kron(m, np.eye(k)) @ basis
+    return 0.5 * (h + h.T)
+
+
+def stiefel_tangent_hessian_lambda_max(A, config):
+    """Largest Hessian eigenvalue on the frame product by dense eigendecomposition (oracle)."""
+    h = dense_stiefel_tangent_hessian(A.to_dense(), config.rows, config.d)
+    return float(np.linalg.eigvalsh(h).max())
+
+
 def sdp_dual_bound(A_dense, rows):
     """Weak-duality upper bound on SDP(A) = max <A, X> over X PSD, diag(X) = 1.
 

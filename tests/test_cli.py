@@ -186,7 +186,8 @@ class TestSweeps:
         assert float(last["f"]) == rep.objective
         exact = oracles.tangent_hessian_lambda_max(A, sigma)
         eps = solver.default_epsilon(A, k)
-        mu_H = 4.0 * A.l1_norm()
+        geom = solver._Geometry(A, k, "sphere")
+        mu_H = geom.shift(geom.evaluate(sigma))  # the search's shift
         assert exact - eps <= float(last["curvature"]) <= exact + 1e-9 * mu_H
 
     def test_landscape_desk_guard(self, tmp_path):
@@ -344,6 +345,22 @@ class TestUsageErrors:
         out = tmp_path / "m.symmat"
         assert run(["gen"] + argv + ["--out", out]) == 2
         assert capsys.readouterr().err.startswith("error: --n ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # numpy refuses the big array before allocating it: each is beyond a
+        # 47-bit address space, so no overcommit setting lets it through
+        ["solve", "--in", "{mat}", "--k", "10000000000000"],  # 2.1 PiB of start rows
+        # a 40 MB label vector, then a 182 TiB noise matrix
+        ["z2sync", "--n", "5000000", "--k", "3", "--lam-grid", "1", "--seeds", "0"],
+    ])
+    def test_counts_beyond_memory_exit_2(self, tmp_path, capsys, argv):
+        mat = tmp_path / "m.symmat"
+        run(["gen", "--model", "goe", "--n", 30, "--seed", 0, "--out", mat])
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        assert run([a.format(mat=mat) for a in argv] + ["--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate ")
         assert not out.exists()
 
     def test_gen_keeps_the_traceback_of_other_errors(self, tmp_path, monkeypatch):

@@ -141,7 +141,8 @@ class TestLanczosCertificate:
                 cfg = projected_gradient_ascent(A, cfg, iters=4000,
                                                 grad_tol=0.9 * A.opnorm()).sigma
             lam_max = oracles.tangent_hessian_lambda_max(A, cfg)
-            mu_h = 4.0 * A.l1_norm()
+            geom = solver._Geometry(A, k, "sphere")
+            mu_h = geom.shift(geom.evaluate(cfg))  # the searches' shift
             # a huge power_C asks for more than D steps even at a loose target
             _, kind, cert = direction_finding(A, cfg, mu_G=math.inf, epsilon=lam_max + 1.0,
                                               power_C=1e4, seed=seed)
@@ -184,8 +185,9 @@ class TestLanczosCertificate:
                                          grad_tol=1e-6)
         eps = 0.5  # well above the warm point's top curvature, so it certifies at once
         assert oracles.tangent_hessian_lambda_max(A, warm.sigma) < eps
-        steps, _ = solver._krylov_step_count(SolverOptions(k=3), A.n, A.n * 2,
-                                             4 * A.l1_norm(), eps, None)
+        geom = solver._Geometry(A, 3, "sphere")
+        mu = geom.shift(geom.evaluate(warm.sigma))  # the solve's shift at its start
+        steps, _ = solver._krylov_step_count(SolverOptions(k=3), A.n, A.n * 2, mu, eps, None)
         for cap, capped in ((None, False), (steps, False), (steps - 1, True)):
             rep = solve(A, SolverOptions(k=3, epsilon=eps, seed=5, max_power_iters=cap),
                         sigma0=warm.sigma)
@@ -297,6 +299,7 @@ class TestPairedLanczos:
         geom = solver._Geometry(A, k, "sphere")
         state = geom.evaluate(random_config(A.n, k, 6))
         opts = SolverOptions(k=k, max_power_iters=25)  # well below the tangent dimension
+        A.opnorm()  # caches the bound that sizes the shift: the products seen are the search's
         seen = self.widths(monkeypatch)
         search, = solver._eigen_direction(state, geom, opts, 1e-8, None,
                                           np.random.default_rng(7), pair=pair)
@@ -316,11 +319,13 @@ class TestPairedLanczos:
             cfg = projected_gradient_ascent(A, random_config(60, 3, 9600 + seed), iters=4000,
                                             grad_tol=0.9 * A.opnorm()).sigma
             geom = solver._Geometry(A, 3, "sphere")
-            search = solver._eigen_direction(geom.evaluate(cfg), geom, SolverOptions(k=3), 0.02,
+            state = geom.evaluate(cfg)
+            # a huge power_C asks for more than D steps at any shift
+            search = solver._eigen_direction(state, geom, SolverOptions(k=3, power_C=1e4), 0.02,
                                              None, np.random.default_rng(seed), pair=True)[0]
             assert not search.certified and search.steps == geom.tangent_dim()
             lam_max = oracles.tangent_hessian_lambda_max(A, cfg)
-            assert abs(search.lam_h - lam_max) <= 1e-12 * geom.mu_H
+            assert abs(search.lam_h - lam_max) <= 1e-12 * geom.shift(state)
 
     def test_certified_solve_takes_one_product_per_step_pair(self, monkeypatch):
         A = instances.goe(40, 3)
@@ -333,6 +338,61 @@ class TestPairedLanczos:
         # the start's product, then the search and its retry side by side
         assert seen == [3] + [6] * (rep.krylov_steps // 2)
         assert rep.krylov_steps % 2 == 0
+
+
+class TestShiftAgainstDenseOracle:
+    """Each state's shift, and the points it certifies, against the dense tangent Hessian."""
+
+    CASES = [("sphere", 1, 40, 3), ("sphere", 1, 60, 5), ("stiefel", 3, 30, 5),
+             ("stiefel", 3, 45, 6)]
+
+    def test_oracle_matches_the_sphere_oracle_and_the_library_hessian(self):
+        A = instances.goe(30, 1)
+        cfg = random_config(30, 4, 2)
+        assert oracles.stiefel_tangent_hessian_lambda_max(A, cfg) == pytest.approx(
+            oracles.tangent_hessian_lambda_max(A, cfg), rel=1e-12)
+        B = A.with_block_dim(3)
+        ocfg = stiefel.oc_random_config(10, 3, 5, 3)
+        basis = oracles.stiefel_tangent_basis(ocfg.rows, 3)
+        assert basis.shape == (150, solver._Geometry(B, 5, "stiefel").tangent_dim())
+        np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+        h = oracles.dense_stiefel_tangent_hessian(B.to_dense(), ocfg.rows, 3)
+        for seed in range(3):
+            u = stiefel.oc_random_tangent(ocfg, seed)
+            c = basis.T @ u.rows.ravel()
+            np.testing.assert_allclose(basis @ c, u.rows.ravel(), atol=1e-12)
+            assert c @ h @ c == pytest.approx(stiefel.oc_rayleigh(B, ocfg, u), abs=1e-12)
+
+    @pytest.mark.parametrize("manifold, d, n, k", CASES)
+    def test_shift_bounds_the_hessian(self, manifold, d, n, k):
+        for seed in range(3):
+            A = instances.goe(n, seed).with_block_dim(d)
+            geom = solver._Geometry(A, k, manifold)
+            warm = solver.warm_start(A, k, seed, manifold=manifold)
+            for point in (geom.random_point(seed), warm):
+                mu = geom.shift(geom.evaluate(point))
+                h = oracles.dense_stiefel_tangent_hessian(A.to_dense(), point.rows, d)
+                assert np.abs(np.linalg.eigvalsh(h)).max() <= mu <= geom.mu_cap
+
+    @pytest.mark.parametrize("manifold, d, n, k", CASES)
+    def test_certified_top_curvature_within_the_allowance(self, manifold, d, n, k):
+        # a certificate at target eps whose step count was sized with the
+        # reference curvature lam_ref (the last eigen step's curvature, floored
+        # at eps) leaves top curvature at most eps + lam_ref.  Cold starts
+        # certify the default target far from a critical point; tight targets
+        # are reached from the warm start, as eigen steps from a cold start
+        # climb too slowly for them
+        for seed in range(3):
+            A = instances.goe(n, 50 + seed).with_block_dim(d)
+            warm = solver.warm_start(A, k, seed, manifold=manifold)
+            for eps, start in ((None, None), (0.05, warm), (0.005, warm)):
+                rep = solve(A, SolverOptions(k=k, manifold=manifold, epsilon=eps, seed=seed),
+                            sigma0=start)
+                assert rep.converged
+                eigen = [r.lam_h for r in rep.trace if r.kind == "eigen"]
+                lam_ref = max(eigen[-1] if eigen else 0.0, rep.epsilon)
+                top = oracles.stiefel_tangent_hessian_lambda_max(A, rep.sigma)
+                assert top <= rep.epsilon + lam_ref
 
 
 class TestRtrStep:
@@ -477,6 +537,18 @@ class TestSolve:
         assert rep.converged
         assert rep.gradient_steps == 0
         assert ascent_ok(rep, A)
+
+    def test_report_states_the_failure_probability(self):
+        A = instances.goe(40, 3)
+        warm = projected_gradient_ascent(A, random_config(40, 3, 4), iters=5000,
+                                         grad_tol=1e-6)
+        for power_C in (8.0, 16.0):
+            rep = solve(A, SolverOptions(k=3, epsilon=0.5, seed=5, power_C=power_C),
+                        sigma0=warm.sigma)
+            assert rep.converged and rep.iterations == 0
+            # the bound on ||A||_2, then the certificate and its retry
+            assert rep.failure_prob == pytest.approx(1 / 40 + 2 * 40 ** (-power_C / 8))
+        assert solve(SymmetricMatrix(np.zeros((8, 8))), SolverOptions(k=3)).failure_prob == 0.0
 
     def test_budget_exhaustion_flags_not_raises(self):
         A = instances.goe(40, 7)

@@ -145,6 +145,76 @@ class TestOpnorm:
             opnorm_estimate(SymmetricMatrix(np.eye(2)), rel_tol=1.5)
 
 
+class TestOpnormUpperBound:
+    """The upper bound on ||A||_2 that the same Lanczos run gives (Kuczynski-Wozniakowski)."""
+
+    @pytest.mark.parametrize("model", ["goe", "spiked", "-erdos_renyi", "centered_sbm",
+                                       "regular", "block_view"])
+    def test_brackets_the_dense_norm(self, model):
+        A = {"goe": lambda: instances.goe(400, 1),
+             "spiked": lambda: instances.spiked(300, 2.5, 2).A,
+             "-erdos_renyi": lambda: -instances.erdos_renyi(600, 8, 3),
+             "centered_sbm": lambda: instances.sbm(600, 12, 4, 4).A,
+             "regular": lambda: instances.random_regular(500, 3, 5),
+             "block_view": lambda: instances.goe(300, 6).with_block_dim(3)}[model]()
+        truth = float(np.abs(np.linalg.eigvalsh(A.to_dense())).max())
+        est = opnorm_estimate(A)
+        # the dense truth carries roundoff too: a regular graph's norm is its
+        # degree, which is also ||A||_1, where the bound is clamped
+        assert est.value <= truth * (1.0 + 1e-12)
+        assert truth * (1.0 - 1e-12) <= est.upper <= A.l1_norm()
+        assert A.opnorm_upper() == est.upper
+
+    def test_exact_once_the_krylov_space_closes(self):
+        for seed in range(5):
+            A = instances.goe(8, seed)  # n below the bound's step count
+            truth = float(np.abs(np.linalg.eigvalsh(A.to_dense())).max())
+            est = opnorm_estimate(A)
+            assert est.iterations <= A.n
+            assert truth <= est.upper <= truth + 1e-9 * A.l1_norm()
+
+    def test_zero_matrix(self):
+        assert opnorm_estimate(SymmetricMatrix(np.zeros((4, 4)))).upper == 0.0
+
+    def test_negation_and_block_views_share_the_cached_bound(self, monkeypatch):
+        A = instances.goe(60, 7)
+        upper = A.opnorm_upper()
+        monkeypatch.setattr(symmat, "opnorm_estimate", None)  # any new run would fail
+        assert (-A).opnorm_upper() == A.with_block_dim(3).opnorm_upper() == upper
+
+    @pytest.mark.parametrize("model", ["goe", "-erdos_renyi"])
+    def test_extension_leaves_the_estimate_and_adds_at_most_the_fixed_count(self, model,
+                                                                             monkeypatch):
+        A = {"goe": lambda: instances.goe(500, 8),
+             "-erdos_renyi": lambda: -instances.erdos_renyi(800, 8, 9)}[model]()
+        fixed = symmat._BOUND_STEPS
+        calls = []
+        dot = SymmetricMatrix.dot
+        monkeypatch.setattr(SymmetricMatrix, "dot", lambda B, x: calls.append(1) or dot(B, x))
+        full = opnorm_estimate(A)
+        assert len(calls) == full.iterations  # one product per step
+        monkeypatch.setattr(symmat, "_BOUND_STEPS", 1)  # the estimate's run alone
+        alone = opnorm_estimate(A)
+        # the estimate is read where it stops on its own, bit for bit
+        assert full.value == alone.value and full.converged == alone.converged
+        assert full.iterations == max(alone.iterations, fixed)
+        # the sparse graph's estimate stops early, so the bound extends its run
+        assert (alone.iterations < fixed) == (model == "-erdos_renyi")
+
+    @pytest.mark.parametrize("dim", [1, 80, 10**6])
+    @pytest.mark.parametrize("log_inv_fail", [0.5, 7.6, 30.0])
+    def test_kw_helpers_invert_each_other(self, dim, log_inv_fail):
+        for steps in range(1, 300):
+            e = symmat._kw_accuracy(steps, dim, log_inv_fail)
+            # the accuracy bought by a count asks for that count, up to roundoff
+            assert symmat._kw_steps(e * (1.0 + 1e-12), dim, log_inv_fail) == steps
+        for e in np.geomspace(1e-9, 1.0, 60):
+            steps = symmat._kw_steps(e, dim, log_inv_fail)
+            # the fewest steps that buy accuracy e
+            assert symmat._kw_accuracy(steps, dim, log_inv_fail) <= e * (1.0 + 1e-12)
+            assert steps == 1 or symmat._kw_accuracy(steps - 1, dim, log_inv_fail) > e
+
+
 class TestSymmatmul:
     def test_identity(self):
         A = SymmetricMatrix(np.eye(4))
