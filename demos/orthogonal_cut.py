@@ -21,14 +21,12 @@ def main():
           f"range rg ~ {est.rg:.2f}\n")
 
     print(f"{'k':>3} {'k_d':>5} {'f':>9} {'gap':>8} {'cert':>8} {'bound holds':>12}")
+    certified = True
     for k in (4, 6, 9, 12):
-        sigma0 = lr.oc_random_config(m, d, k, seed=k)
-        warm = lr.projected_gradient_ascent(A, sigma0, step=1 / (4 * A.l1_norm()),
-                                            iters=2000, grad_tol=1e-3)
-        rep = lr.solve(A, lr.SolverOptions(k=k, seed=2, manifold="stiefel",
-                                           max_iters=300, max_power_iters=2000),
-                       sigma0=warm.sigma)
+        rep = lr.solve(A, lr.SolverOptions(k=k, seed=k, manifold="stiefel", max_iters=300,
+                                           max_power_iters=2000), warm_iters=2000)
         holds, slack = lr.oc_grothendieck_check(A, rep.sigma, rep.epsilon, est)
+        certified &= rep.converged and holds
         k_d = 2 * k / (d + 1)
         print(f"{k:3d} {k_d:5.1f} {rep.objective:9.2f} "
               f"{est.value_plus - rep.objective:8.2f} {rep.curvature_cert:8.3f} "
@@ -42,6 +40,8 @@ def main():
                                        max_iters=4000))
     same = np.array_equal(rs.sigma.rows, ro.sigma.rows)
     print(f"  identical final configurations: {same}")
+    if not (certified and rs.converged and ro.converged):
+        raise SystemExit("a curvature certificate or its bound failed")
 
 
 if __name__ == "__main__":

@@ -12,13 +12,8 @@ import numpy as np
 import lowranksdp as lr
 
 
-def local_max(A, k, seed, iters=2000):
-    sigma0 = lr.random_config(A.n, k, seed)
-    return lr.projected_gradient_ascent(A, sigma0, step=1 / (4 * A.l1_norm()),
-                                        iters=iters).sigma
-
-
 def main():
+    certified = True
     n, k = 500, 5
     print(f"spiked model, n = {n}, rank k = {k}, 3 seeds per point\n")
     print(f"{'lam':>5} {'corr |s^T u|^2/n^2':>20} {'sign-rounded (<u_hat,u>/n)^2':>30}")
@@ -26,20 +21,24 @@ def main():
         corrs, sign_corrs = [], []
         for seed in range(3):
             inst = lr.spiked(n, lam, 100 * seed + int(10 * lam))
-            sigma = local_max(inst.A, k, seed)
-            corrs.append(lr.correlation(sigma, inst.ground_truth))
-            u_hat = lr.principal_sign(sigma)
+            rep = lr.solve(inst.A, lr.SolverOptions(k=k, seed=seed), warm_iters=2000)
+            certified &= rep.converged
+            corrs.append(lr.correlation(rep.sigma, inst.ground_truth))
+            u_hat = lr.principal_sign(rep.sigma)
             sign_corrs.append((float(u_hat @ inst.ground_truth) / n) ** 2)
         print(f"{lam:5.2f} {np.mean(corrs):20.4f} {np.mean(sign_corrs):30.4f}")
 
     print("\nthe correlation lower bound for local maximizers:")
     for lam in (8.0, 16.0, 32.0):
         inst = lr.spiked(n, lam, 7)
-        sigma = local_max(inst.A, 4, 8, iters=3000)
-        corr = lr.correlation(sigma, inst.ground_truth)
+        rep = lr.solve(inst.A, lr.SolverOptions(k=4, seed=8), warm_iters=3000)
+        certified &= rep.converged
+        corr = lr.correlation(rep.sigma, inst.ground_truth)
         bound = 1 - min(16 / lam, 1 / 4 + 4 / lam)
         print(f"  lam={lam:5.1f}: corr = {corr:.4f}, guaranteed >= {bound:.4f} "
               f"asymptotically")
+    if not certified:
+        raise SystemExit("a curvature certificate failed")
 
 
 if __name__ == "__main__":

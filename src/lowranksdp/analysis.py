@@ -2,11 +2,11 @@
 
 The SDP optimum has no independent solver here: it is estimated by running
 the nonconvex solver at rank ceil(sqrt(2n)) + 1, where the rank-constrained
-problem is known to share the SDP's global maximum.  Each solve starts from
-``solver.warm_start``, Barzilai-Borwein ascent whose steps ``pga_iters``
-caps.  The estimate is itself a feasible objective value, hence a true lower
-bound; the bound checks below are conservative in that direction and report
-the slack for analysis.
+problem is known to share the SDP's global maximum.  Each sign takes one
+``solver.solve`` call, whose warm start ``pga_iters`` caps.  The estimate is
+itself a feasible objective value, hence a true lower bound; the bound
+checks below are conservative in that direction and report the slack for
+analysis.
 """
 
 from __future__ import annotations
@@ -91,11 +91,11 @@ def _one_sided_estimate(B: SymmetricMatrix, rank: int, epsilon: float, seed,
     if B.l1_norm() == 0.0:
         return 0.0, True, None
     rng = np.random.default_rng(seed)
-    sigma0 = solver.warm_start(B, rank, rng, manifold=manifold, iters=pga_iters)
+    sigma0 = solver.random_start(B, rank, rng, manifold)
     opts = SolverOptions(k=rank, mode=solver.MODE_GRADIENT_EIGEN, epsilon=epsilon,
                          max_iters=40, power_C=2.0, seed=int(rng.integers(2**32)),
                          manifold=manifold, max_power_iters=200)
-    report = solve(B, opts, sigma0=sigma0)
+    report = solve(B, opts, sigma0=sigma0, warm_iters=pga_iters)
     return report.objective, report.converged, report.sigma
 
 
@@ -104,8 +104,8 @@ def estimate_sdp(A: SymmetricMatrix, seed=0, *, manifold: str = "sphere",
     """Estimate SDP(A) and SDP(-A) by solving at rank ceil(sqrt(2n)) + 1.
 
     The rank is ceil((d+1) sqrt(m)) + 1 on a product of m Stiefel blocks of
-    size d.  Each side starts from ``solver.warm_start`` with at most
-    ``pga_iters`` ascent steps, then runs at most 40 trust-region steps
+    size d.  Each side is one ``solver.solve`` from a random start: at most
+    ``pga_iters`` warm-start ascent steps, then at most 40 trust-region steps
     toward the default curvature target ``solver.default_epsilon``.  Both
     values are feasible objectives, hence lower bounds of the true optima;
     they are estimates, not certified optima.  Budget exhaustion, or a final

@@ -113,18 +113,16 @@ def _write_sweep(path, rows, sort_by, strict=False) -> int:
     return 3 if strict and not all(row["converged"] for row in rows) else 0
 
 
-def _maximizer(A, k, seed, args, *, manifold="sphere", epsilon=None, warm=True):
+def _maximizer(A, k, seed, args, *, manifold="sphere", epsilon=None):
     """Run ``args.solver`` with the other solver flags of ``args`` from a seeded random start."""
+    sigma0 = solver.random_start(A, k, seed, manifold)
     if args.solver == "pga":
-        return solver.projected_gradient_ascent(A, solver.random_start(A, k, seed, manifold),
-                                                step=args.pga_step, iters=args.pga_iters,
-                                                record_every=10**9)
+        return solver.projected_gradient_ascent(A, sigma0, step=args.pga_step,
+                                                iters=args.pga_iters, record_every=10**9)
     opts = SolverOptions(k=k, mode=_MODE_BY_FLAG[args.solver], epsilon=epsilon,
                          max_iters=args.budget, seed=seed, manifold=manifold,
                          max_power_iters=3000)
-    sigma0 = (solver.warm_start(A, k, seed, manifold=manifold, iters=args.pga_iters)
-              if warm else None)
-    return solver.solve(A, opts, sigma0=sigma0)
+    return solver.solve(A, opts, sigma0=sigma0, warm_iters=args.pga_iters)
 
 
 def _recovery(inst, seed, args):
@@ -209,8 +207,7 @@ def _cmd_solve(args) -> int:
         raise _UsageError("stiefel solves need a matrix with a blockdim header")
     _check_ranks([args.k], A.block_dim if manifold == "stiefel" else 1,
                  certified=args.solver != "pga" and args.eps is None)
-    rep = _maximizer(A, args.k, args.seed, args, manifold=manifold, epsilon=args.eps,
-                     warm=not args.cold_start)
+    rep = _maximizer(A, args.k, args.seed, args, manifold=manifold, epsilon=args.eps)
     if args.out:
         rep.trace_csv(args.out)
     if args.out_config:
@@ -402,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--budget", type=_positive(int), default=20_000)
     _add_pga_flags(p)
-    p.add_argument("--cold-start", action="store_true",
-                   help="skip the gradient-ascent warm start")
+    p.add_argument("--cold-start", dest="pga_iters", action="store_const", const=0,
+                   help="the same as --pga-iters 0: no warm-start steps")
     p.add_argument("--out", help="trace CSV path")
     p.add_argument("--out-config", help="write the final configuration")
     p.add_argument("--strict", action="store_true")

@@ -38,11 +38,11 @@ paper shares the report format.
 There is one geometry, the frame product of ``stiefel``: the default
 ``manifold="sphere"`` is its d = 1 case, the product of spheres, and
 ``manifold="stiefel"`` takes d from the matrix's ``block_dim``.  ``solve``
-loops over the same private step that ``rtr_step`` takes once.
-``warm_start`` is the start that the CLI and ``analysis.estimate_sdp`` put
-in front of a certified solve: Barzilai-Borwein gradient ascent with a
-nonmonotone line search, which typically reaches its gradient tolerance in
-a tenth or less of the products the fixed-step baseline spends.
+is the paper's recipe in one call: with ``warm_iters`` it first climbs from
+its start by Barzilai-Borwein gradient ascent with a nonmonotone line search
+(which typically reaches its gradient tolerance in a tenth or less of the
+products the fixed-step baseline spends), then certifies the point it
+reached by looping over the same private step that ``rtr_step`` takes once.
 
 All loops step on raw row arrays: one product ``A @ rows`` per step (per
 trial point in the warm start) gives the multiplier, gradient and objective
@@ -81,7 +81,6 @@ __all__ = [
     "solve",
     "projected_gradient_ascent",
     "random_start",
-    "warm_start",
 ]
 
 MODE_EIGEN_ONLY = "eigen-only"
@@ -164,7 +163,10 @@ class SolveReport:
     solve is wrong by more than the analysis allows, by a union bound: 1/n
     for the upper bound on ||A||_2 that sizes every search's shift, plus
     n^(-power_C/8) for each curvature search run, at most 1.  It is 0 when no
-    search ran.
+    search ran.  ``warm_steps`` counts the warm start's accepted ascent steps
+    (the trace begins at the point they reach); ``products`` counts the run's
+    products ``A @ X`` (a paired Lanczos step once), all but the cached run
+    that estimates ||A||_2.
     """
 
     sigma: object
@@ -183,6 +185,8 @@ class SolveReport:
     krylov_steps: int = 0
     cap_hit: bool = False
     failure_prob: float = 0.0
+    warm_steps: int = 0
+    products: int = 0
 
     @property
     def iterations(self) -> int:
@@ -190,11 +194,12 @@ class SolveReport:
 
     def summary_line(self) -> str:
         return ("mode=%s manifold=%s converged=%s f=%.10g grad_norm=%.4g cert=%.4g "
-                "steps=%d (gradient=%d eigen=%d) krylov_steps=%d cap_hit=%s eps=%.4g seed=%d"
+                "steps=%d (gradient=%d eigen=%d) krylov_steps=%d cap_hit=%s eps=%.4g seed=%d "
+                "warm_steps=%d products=%d"
                 % (self.mode, self.manifold, self.converged, self.objective,
                    self.grad_norm, self.curvature_cert, self.iterations,
                    self.gradient_steps, self.eigen_steps, self.krylov_steps,
-                   self.cap_hit, self.epsilon, self.seed))
+                   self.cap_hit, self.epsilon, self.seed, self.warm_steps, self.products))
 
     def trace_csv(self, path) -> None:
         import csv
@@ -264,6 +269,11 @@ class _Geometry:
         # ||Lambda_i||_2 <= sqrt(d) ||A||_1, so every state's shift is at most
         # 2(1 + sqrt(d)) ||A||_1, which is 4||A||_1 on the sphere product
         self.mu_cap = 2.0 * (1.0 + math.sqrt(d)) * self.l1
+        self.products = 0  # the products A @ X of this geometry's run
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        self.products += 1
+        return self.A.dot(x)
 
     def shift(self, state: _State) -> float:
         """An upper bound mu on ||Hess|| at ``state``, the shift of its curvature searches.
@@ -284,7 +294,10 @@ class _Geometry:
         return stiefel.oc_random_config(self.m, self.d, self.k, seed)
 
     def evaluate(self, config) -> _State:
-        """The state at a checked point of this manifold."""
+        """The state at a checked point of this manifold, of this rank."""
+        if (config.k, config.d) != (self.k, self.d):
+            raise ValueError(f"start has k = {config.k}, d = {config.d}; the solve runs at "
+                             f"k = {self.k}, d = {self.d}")
         self.hessian._check(self.A, config)
         return self._state(config.rows, config)
 
@@ -302,7 +315,7 @@ class _Geometry:
         return self._state(rows)
 
     def _state(self, rows: np.ndarray, config=None) -> _State:
-        asig = self.A.dot(rows)
+        asig = self.dot(rows)
         lam = stiefel._multiplier(rows, asig, self.d)
         grad = stiefel._gradient_rows(rows, asig, lam, self.d)
         stiefel._check_tangent(grad, rows, self.d)
@@ -313,33 +326,12 @@ def _manifold_of(config) -> str:
     return "sphere" if config.d == 1 else "stiefel"
 
 
-def _scaled(u, c: float):
-    return stiefel.StiefelTangent(c * u.rows, u.base)
-
-
 def random_start(A: SymmetricMatrix, k: int, seed, manifold: str = "sphere"):
     """Uniformly random point of the manifold a solve with these options runs on.
 
     ``seed`` may be an integer or a numpy Generator (which is advanced).
     """
     return _Geometry(A, k, manifold).random_point(seed)
-
-
-def warm_start(A: SymmetricMatrix, k: int, seed, *, manifold: str = "sphere",
-               iters: int = 3000):
-    """Random start climbed by Barzilai-Borwein ascent: the usual start of a certified solve.
-
-    Any start is admissible; the ascent of ``_bb_ascent`` climbs fast and
-    stops once the gradient norm falls to 1e-3 ||A||_1 or after ``iters``
-    accepted steps, so the certified trust-region tail is short.  ``seed`` is
-    used as in ``random_start``; nothing else is drawn from it.
-    """
-    geom = _Geometry(A, k, manifold)
-    start = geom.random_point(seed)
-    if geom.l1 == 0.0:
-        return start
-    state, _, _ = _bb_ascent(geom, geom.evaluate(start), iters, 1e-3 * geom.l1)
-    return state.config
 
 
 # Zhang & Hager (SIAM J. Optim. 2004): the reference value is the running
@@ -497,14 +489,14 @@ def _krylov_step_count(opts: SolverOptions, n: int, dim: int, mu_H: float,
     return steps, False
 
 
-def _shifted_hessian(H, mu_H: float):
+def _shifted_hessian(H, mu_H: float, dot):
     """``symmat._lanczos``'s ``apply`` for Hess + mu_H I: one product
-    ``A @ [v_1 v_2 ...]`` per call, which at small widths costs far less
-    than a call per vector, since reading A bounds it."""
+    ``dot([v_1 v_2 ...])`` of ``H.A`` per call, which at small widths costs
+    far less than a call per vector, since reading A bounds it."""
     k = H.config.k
 
     def apply(vs):
-        products = H.A.dot(vs[0] if len(vs) == 1 else np.hstack(vs))
+        products = dot(vs[0] if len(vs) == 1 else np.hstack(vs))
         return [H._apply_product(v, products[:, c * k:(c + 1) * k]) + mu_H * v
                 for c, v in enumerate(vs)]
     return apply
@@ -544,7 +536,7 @@ def _eigen_direction(state: _State, geom, opts: SolverOptions, epsilon: float,
     # spectrum near a critical point, so roundoff left there by an unprojected
     # Lanczos vector would grow and push Ritz values above the spectrum
     project = functools.partial(stiefel.project_rows, state.config)
-    run = functools.partial(_lanczos, _shifted_hessian(H, mu_H), project,
+    run = functools.partial(_lanczos, _shifted_hessian(H, mu_H, geom.dot), project,
                             [u.rows for u in starts], mu_H)
     *_, (alphas, betas, _) = itertools.islice(run(), steps)
     searches = []
@@ -564,8 +556,9 @@ def _eigen_direction(state: _State, geom, opts: SolverOptions, epsilon: float,
             rows = project(rows)
             u = type(u)(rows / np.linalg.norm(rows), state.config)
             lam_h = H.rayleigh(u)
+            geom.products += 1  # the quotient's product A @ u
         if float(np.sum(u.rows * state.grad)) < 0.0:
-            u = _scaled(u, -1.0)
+            u = stiefel.StiefelTangent(-u.rows, u.base)
         searches.append(_Search(u, lam_h, certified, len(alpha), capped))
         if not certified:
             break
@@ -626,7 +619,7 @@ def _step(state: _State, geom: _Geometry, opts: SolverOptions, epsilon: float,
     A gradient step moves along u = grad / |grad|.  Its trial length is
     tau = |grad| * ``length``, the previous gradient step's Barzilai-Borwein
     length, or |grad| / (4 ||A||_1) when there is none (the first trial of
-    ``warm_start``), clamped to [eta, |grad| _BB_MAX / ||A||_1] with the
+    ``_bb_ascent``), clamped to [eta, |grad| _BB_MAX / ||A||_1] with the
     paper's step eta = ||A||_2 / (20 ||A||_1).  A trial is accepted when it
     gains at least tau |grad| / 2 (a monotone Armijo test); otherwise tau is
     halved, down to eta, where the paper's step is taken as it stands.  So
@@ -682,7 +675,8 @@ def rtr_step(A: SymmetricMatrix, config, opts: SolverOptions, *,
     |grad| / (4 ||A||_1) that a solve's first gradient step tries.  A zero
     matrix, a trivial tangent space (d = k = 1), or curvature certified at or
     below the target by two Lanczos searches in a row, produces no movement
-    (kind ``"none"``), as ``solve`` stops there.
+    (kind ``"none"``), as ``solve`` stops there.  A ``config`` of another
+    rank or block size than ``opts`` asks for raises ValueError.
     """
     opts.validate()
     rng = np.random.default_rng(opts.seed if rng is None else rng)
@@ -699,34 +693,40 @@ def rtr_step(A: SymmetricMatrix, config, opts: SolverOptions, *,
 # -- full solves -----------------------------------------------------------------
 
 
-def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None) -> SolveReport:
-    """Run the trust-region method until the curvature certificate holds.
+def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None, *,
+          warm_iters: int = 0) -> SolveReport:
+    """Climb from a start, then run the trust-region method until the curvature
+    certificate holds.
 
-    Terminates when the gradient threshold is met (gradient-eigen mode) and a
-    Lanczos certificate reports top curvature at most epsilon twice in a row,
-    or when the step budget is exhausted.  ``converged`` is False then, and
-    also when ``max_power_iters`` shortened the final certificate's step
-    count (no exception either way).  Any starting point is admissible;
-    ``sigma0=None`` draws a uniformly random one.
+    The climb is at most ``warm_iters`` steps of ``_bb_ascent``, which stops
+    once the gradient norm is at most 1e-3 ||A||_1 and draws nothing from the
+    seed.  The loop terminates when the gradient threshold is met
+    (gradient-eigen mode) and a Lanczos certificate reports top curvature at
+    most epsilon twice in a row, or when the step budget is exhausted.
+    ``converged`` is False then, and also when ``max_power_iters`` shortened
+    the final certificate's step count (no exception either way).  A start of
+    another rank or block size than ``opts`` raises ValueError; ``sigma0=None``
+    draws a uniformly random one.
     """
     opts.validate()
+    if warm_iters < 0:
+        raise ValueError("warm_iters must be >= 0")
     geom = _Geometry(A, opts.k, opts.manifold)
     rng = np.random.default_rng(opts.seed)
-    config = sigma0 if sigma0 is not None else geom.random_point(rng)
+    state = geom.evaluate(sigma0 if sigma0 is not None else geom.random_point(rng))
+    warm_steps = 0
+    if geom.l1 > 0.0:
+        state, warm_steps, _ = _bb_ascent(geom, state, warm_iters, 1e-3 * geom.l1)
     epsilon = opts.epsilon if opts.epsilon is not None else default_epsilon(A, opts.k, opts.manifold)
-    state = geom.evaluate(config)
     trace = [StepRecord(0, "init", 0.0, state.objective, state.grad_norm)]
 
-    if geom.l1 == 0.0 or geom.tangent_dim() == 0:
-        return SolveReport(sigma=config, objective=state.objective, grad_norm=state.grad_norm,
-                           curvature_cert=0.0, converged=True, gradient_steps=0, eigen_steps=0,
-                           trace=trace, seed=opts.seed, epsilon=epsilon, mode=opts.mode,
-                           manifold=geom.manifold, budget=0)
-
+    # a zero matrix or a trivial tangent space (d = k = 1) is certified as it stands
+    trivial = geom.l1 == 0.0 or geom.tangent_dim() == 0
     budget = opts.max_iters if opts.max_iters is not None else worst_case_budget(A, epsilon, opts.mode)
+    budget = 0 if trivial else budget
     counts = {"gradient": 0, "eigen": 0}
     krylov_steps = searches = 0
-    cap_hit = converged = False
+    cap_hit, converged, cert = False, trivial, 0.0
     lam_prev: float | None = None
     length: float | None = None  # of the last gradient step
     for it in range(1, budget + 1):
@@ -748,12 +748,13 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None) -> SolveReport:
         trace.append(StepRecord(it, step.kind, step.eta, state.objective, state.grad_norm,
                                 step.lam_h, step.krylov_steps))
     else:
-        # budget exhausted: measure (but do not certify) the current curvature
-        search = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)[0]
-        cert = search.lam_h
-        krylov_steps += search.steps
-        searches += 1
-        cap_hit = cap_hit or search.capped
+        if not trivial:
+            # budget exhausted: measure (but do not certify) the current curvature
+            search = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)[0]
+            cert = search.lam_h
+            krylov_steps += search.steps
+            searches += 1
+            cap_hit = cap_hit or search.capped
 
     return SolveReport(sigma=state.config, objective=state.objective, grad_norm=state.grad_norm,
                        curvature_cert=float(cert), converged=converged,
@@ -762,7 +763,8 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None) -> SolveReport:
                        manifold=geom.manifold, budget=budget, krylov_steps=krylov_steps,
                        cap_hit=cap_hit,
                        failure_prob=(min(1.0 / geom.n + searches * geom.n ** (-opts.power_C / 8.0),
-                                         1.0) if searches else 0.0))
+                                         1.0) if searches else 0.0),
+                       warm_steps=warm_steps, products=geom.products)
 
 
 def projected_gradient_ascent(A: SymmetricMatrix, sigma0, step: float | None = None,
@@ -799,4 +801,4 @@ def projected_gradient_ascent(A: SymmetricMatrix, sigma0, step: float | None = N
     return SolveReport(sigma=state.config, objective=state.objective, grad_norm=state.grad_norm,
                        curvature_cert=math.nan, converged=converged, gradient_steps=done,
                        eigen_steps=0, trace=trace, seed=-1, epsilon=math.nan, mode="pga",
-                       manifold=geom.manifold, budget=iters)
+                       manifold=geom.manifold, budget=iters, products=geom.products)

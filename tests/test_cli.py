@@ -80,6 +80,18 @@ class TestSolveAndCheck:
                     "--cold-start"])
         assert code == 3
 
+    def test_cold_start_is_pga_iters_0(self, tmp_path, capsys):
+        # both start the trust-region method at the seed's random point
+        mat = tmp_path / "m.symmat"
+        run(["gen", "--model", "goe", "--n", 60, "--seed", 2, "--out", mat])
+        capsys.readouterr()
+        outs = []
+        for flags in (["--cold-start"], ["--pga-iters", 0], ["--pga-iters", 40, "--cold-start"]):
+            assert run(["solve", "--in", mat, "--k", 4, "--seed", 1, *flags]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+        assert "gradient=0 " not in outs[0] and " warm_steps=0 products=" in outs[0]
+
     def test_check_pipeline(self, tmp_path):
         mat = tmp_path / "m.symmat"
         cfg = tmp_path / "c.config"

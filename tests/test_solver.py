@@ -29,6 +29,27 @@ def ascent_ok(report, A):
     return all(b >= a - tol for a, b in zip(fs, fs[1:]))
 
 
+def warm_point(A, k, seed, manifold="sphere", iters=3000):
+    """The start that ``seed`` draws, climbed as a solve's warm start climbs it."""
+    geom = solver._Geometry(A, k, manifold)
+    state, _, _ = solver._bb_ascent(geom, geom.evaluate(geom.random_point(seed)), iters,
+                                    1e-3 * geom.l1)
+    return state.config
+
+
+def counted(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` for the rest of the test."""
+    calls = [0]
+    orig = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 class TestDirectionFinding:
     def test_gradient_branch_returns_normalized_gradient(self):
         A = instances.goe(20, 0)
@@ -243,7 +264,7 @@ class TestPairedLanczos:
     def recurrences(A, cfg, starts, steps):
         """Diagonal and off-diagonal of ``steps`` Lanczos steps on Hess + 4||A||_1 I."""
         mu = 4.0 * A.l1_norm()
-        run = symmat._lanczos(solver._shifted_hessian(HessianOperator(A, cfg), mu),
+        run = symmat._lanczos(solver._shifted_hessian(HessianOperator(A, cfg), mu, A.dot),
                               functools.partial(stiefel.project_rows, cfg), starts, mu)
         *_, (alphas, betas, _) = itertools.islice(run, steps)
         return [(np.array(a), np.array(b[:len(a) - 1])) for a, b in zip(alphas, betas)]
@@ -255,7 +276,7 @@ class TestPairedLanczos:
              "sbm": lambda: instances.sbm(n, 12, 4, 1).A,
              "goe": lambda: instances.goe(n, 1)}[model]()
         assert A.is_sparse == (model != "goe")
-        cfg = solver.warm_start(A, k, 2)
+        cfg = warm_point(A, k, 2)
         rng = np.random.default_rng(3)
         starts = [random_tangent(cfg, rng).rows for _ in range(2)]
         alone = [self.recurrences(A, cfg, [start], steps)[0] for start in starts]
@@ -368,7 +389,7 @@ class TestShiftAgainstDenseOracle:
         for seed in range(3):
             A = instances.goe(n, seed).with_block_dim(d)
             geom = solver._Geometry(A, k, manifold)
-            warm = solver.warm_start(A, k, seed, manifold=manifold)
+            warm = warm_point(A, k, seed, manifold)
             for point in (geom.random_point(seed), warm):
                 mu = geom.shift(geom.evaluate(point))
                 h = oracles.dense_stiefel_tangent_hessian(A.to_dense(), point.rows, d)
@@ -384,7 +405,7 @@ class TestShiftAgainstDenseOracle:
         # climb too slowly for them
         for seed in range(3):
             A = instances.goe(n, 50 + seed).with_block_dim(d)
-            warm = solver.warm_start(A, k, seed, manifold=manifold)
+            warm = warm_point(A, k, seed, manifold)
             for eps, start in ((None, None), (0.05, warm), (0.005, warm)):
                 rep = solve(A, SolverOptions(k=k, manifold=manifold, epsilon=eps, seed=seed),
                             sigma0=start)
@@ -735,17 +756,7 @@ class TestProjectedGradientAscent:
 
 
 class TestWarmStart:
-    @staticmethod
-    def counted(monkeypatch, owner, name):
-        calls = [0]
-        orig = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            calls[0] += 1
-            return orig(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapper)
-        return calls
+    """The Barzilai-Borwein ascent that ``solve`` runs before it certifies."""
 
     @pytest.mark.parametrize("d, k", [(1, 4), (3, 6)])
     def test_every_trial_point_is_checked(self, monkeypatch, d, k):
@@ -755,10 +766,10 @@ class TestWarmStart:
             A = A.with_block_dim(d)
         geom = solver._Geometry(A, k, manifold)
         start = geom.random_point(5)
-        products = self.counted(monkeypatch, SymmetricMatrix, "dot")
+        products = counted(monkeypatch, SymmetricMatrix, "dot")
         state = geom.evaluate(start)
-        points = self.counted(monkeypatch, stiefel, "_check_point")
-        tangents = self.counted(monkeypatch, stiefel, "_check_tangent")
+        points = counted(monkeypatch, stiefel, "_check_point")
+        tangents = counted(monkeypatch, stiefel, "_check_tangent")
         state, steps, trials = solver._bb_ascent(geom, state, 3000, 1e-3 * geom.l1)
         assert 0 < steps <= trials
         assert points[0] == trials and tangents[0] == trials
@@ -775,17 +786,23 @@ class TestWarmStart:
     @pytest.mark.parametrize("manifold", ["sphere", "stiefel"])
     def test_deterministic_and_draws_only_the_start(self, manifold):
         A = instances.goe(45, 4).with_block_dim(3)
-        first = solver.warm_start(A, 5, 9, manifold=manifold)
-        assert np.array_equal(first.rows, solver.warm_start(A, 5, 9, manifold=manifold).rows)
-        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
-        solver.warm_start(A, 5, rng, manifold=manifold)
-        solver.random_start(A, 5, ref, manifold)
-        assert rng.integers(2**32) == ref.integers(2**32)
+        opts = SolverOptions(k=5, manifold=manifold, seed=9)
+        first = solve(A, opts, warm_iters=3000)
+        again = solve(A, opts, warm_iters=3000)
+        assert first.warm_steps > 0
+        assert np.array_equal(first.sigma.rows, again.sigma.rows)
+        assert first.curvature_cert == again.curvature_cert
+        # the start is the seed's first draw (the fold test shows that the
+        # climb draws nothing more)
+        warm = warm_point(A, 5, 9, manifold)
+        assert first.trace[0].objective == stiefel.oc_objective(A, warm)
 
     def test_zero_matrix_returns_the_start(self):
         A = SymmetricMatrix(np.zeros((12, 12)))
-        got = solver.warm_start(A, 3, 4)
-        assert np.array_equal(got.rows, solver.random_start(A, 3, 4).rows)
+        start = solver.random_start(A, 3, 4)
+        rep = solve(A, SolverOptions(k=3, seed=0), sigma0=start, warm_iters=3000)
+        assert np.array_equal(rep.sigma.rows, start.rows)
+        assert rep.converged and rep.warm_steps == 0 and rep.products == 1
 
     @pytest.mark.parametrize("n, d, k", [(300, 1, 6), (90, 3, 9)])
     def test_reaches_tolerance_in_a_tenth_of_iters(self, n, d, k):
@@ -799,8 +816,11 @@ class TestWarmStart:
             state, steps, trials = solver._bb_ascent(
                 geom, geom.evaluate(geom.random_point(seed)), iters, tol)
             assert state.grad_norm <= tol and steps < iters / 10
-            warm = solver.warm_start(A, k, seed, manifold=manifold, iters=iters)
-            assert np.array_equal(warm.rows, state.rows)
+            rep = solve(A, SolverOptions(k=k, manifold=manifold, seed=seed),
+                        sigma0=geom.random_point(seed), warm_iters=iters)
+            assert rep.warm_steps == steps
+            assert (rep.trace[0].objective, rep.trace[0].grad_norm) == (state.objective,
+                                                                        state.grad_norm)
             step = 1.0 / (4.0 * geom.l1)
             fixed = projected_gradient_ascent(A, geom.random_point(seed), step=step,
                                               iters=iters, grad_tol=tol, record_every=10**9)
@@ -814,3 +834,94 @@ class TestWarmStart:
                 assert state.objective > same.objective
             else:
                 assert state.objective >= fixed.objective
+
+    # the tight target takes eigen steps after the climb, until the budget ends
+    @pytest.mark.parametrize("manifold, eps", [("sphere", None), ("sphere", 1e-4),
+                                               ("stiefel", None)])
+    def test_solve_equals_the_climb_then_a_solve_from_its_point(self, manifold, eps,
+                                                                 monkeypatch):
+        A = instances.goe(90, 6).with_block_dim(3)
+        opts = SolverOptions(k=6, manifold=manifold, epsilon=eps, seed=2, max_iters=3)
+        start = solver.random_start(A, 6, 4, manifold)
+        A.opnorm()  # cached, so the products counted are the runs' own
+        products = counted(monkeypatch, SymmetricMatrix, "dot")
+        folded = solve(A, opts, sigma0=start, warm_iters=3000)
+        folded_products = products[0]
+        geom = solver._Geometry(A, 6, manifold)
+        state, steps, _ = solver._bb_ascent(geom, geom.evaluate(start), 3000, 1e-3 * geom.l1)
+        apart = solve(A, opts, sigma0=state.config)
+        assert folded.warm_steps == steps > 0 and apart.warm_steps == 0
+        assert np.array_equal(folded.sigma.rows, apart.sigma.rows)
+        assert folded.objective == apart.objective
+        assert folded.curvature_cert == apart.curvature_cert
+        # repr prints each float exactly, and a NaN lam_h equal to itself
+        assert [repr(r) for r in folded.trace] == [repr(r) for r in apart.trace]
+        # the climbed point is evaluated once, not again by the solve
+        assert folded_products == products[0] - folded_products - 1
+
+    def test_negative_warm_iters_raises(self):
+        with pytest.raises(ValueError, match="warm_iters"):
+            solve(instances.goe(20, 1), SolverOptions(k=3), warm_iters=-1)
+
+
+_ENTRIES = {"solve": lambda A, opts, start: solve(A, opts, sigma0=start),
+            "rtr_step": lambda A, opts, start: rtr_step(A, start, opts)}
+
+
+class TestStartCheck:
+    """A start of another rank or block size than the options ask for is refused."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    def test_start_of_another_rank_raises(self, entry):
+        # a k = 6 start once ran at k = 6 under the k = 3 target and tangent dimension
+        with pytest.raises(ValueError, match="start has k = 6, d = 1; the solve runs at k = 3"):
+            _ENTRIES[entry](instances.goe(60, 1), SolverOptions(k=3), random_config(60, 6, 0))
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    def test_start_of_another_block_size_raises(self, entry):
+        # the start is at fault, not the matrix's block structure
+        A = instances.goe(60, 1).with_block_dim(3)
+        with pytest.raises(ValueError, match="start has k = 6, d = 1; .* d = 3"):
+            _ENTRIES[entry](A, SolverOptions(k=6, manifold="stiefel"), random_config(60, 6, 0))
+
+
+class TestProducts:
+    """``products`` counts every product ``A @ X`` of a run but the cached ||A||_2 run."""
+
+    # name: (the matrix, the run on it)
+    RUNS = {
+        "cold": (lambda: instances.goe(80, 5), lambda A: solve(A, SolverOptions(k=4, seed=3))),
+        "warm": (lambda: instances.goe(80, 5),
+                 lambda A: solve(A, SolverOptions(k=4, seed=3), warm_iters=3000)),
+        "eigen-only": (lambda: instances.goe(30, 5),
+                       lambda A: solve(A, SolverOptions(k=3, seed=11, mode=MODE_EIGEN_ONLY,
+                                                        epsilon=0.05, max_iters=20))),
+        "stiefel": (lambda: instances.goe(36, 14).with_block_dim(3),
+                    lambda A: solve(A, SolverOptions(k=6, seed=3, manifold="stiefel"),
+                                    warm_iters=100)),
+        "capped": (lambda: instances.goe(40, 3),
+                   lambda A: solve(A, SolverOptions(k=3, epsilon=0.5, seed=5,
+                                                    max_power_iters=4), warm_iters=3000)),
+        "budget": (lambda: instances.goe(40, 7),
+                   lambda A: solve(A, SolverOptions(k=3, epsilon=1e-9, max_iters=3,
+                                                    max_power_iters=10, seed=0))),
+        "pga": (lambda: instances.goe(40, 7),
+                lambda A: projected_gradient_ascent(A, random_config(40, 3, 1), iters=50)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_products_count_every_product(self, name, monkeypatch):
+        make, run = self.RUNS[name]
+        A = make()
+        A.opnorm()  # cached, so the products counted are the run's own
+        products = counted(monkeypatch, SymmetricMatrix, "dot")
+        rep = run(A)
+        assert products[0] == rep.products > 0
+        assert rep.summary_line().endswith(f" warm_steps={rep.warm_steps} "
+                                           f"products={rep.products}")
+        if name == "capped":
+            assert rep.cap_hit and not rep.converged
+        if name == "budget":
+            assert not rep.converged and rep.iterations == 3
+        if name == "eigen-only":
+            assert rep.eigen_steps > 0
