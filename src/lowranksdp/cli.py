@@ -133,11 +133,13 @@ def _recovery(inst, seed, args):
                  "sign_correlation": (float(sign @ inst.ground_truth) / args.n) ** 2}
 
 
-def _bound(A, sigma, f, eps, est) -> dict:
-    """The certificate-bound columns of a configuration ``sigma`` with objective ``f``."""
+def _bound(A, sigma, f, eps, est, **more) -> dict:
+    """The certificate-bound columns of a configuration ``sigma`` with objective ``f``,
+    then the ``more`` columns, then the upper end of SDP(A): last, so no older column moves."""
     holds, slack = analysis.grothendieck_check(A, sigma, eps, est)
     return {"f": f, "sdp_est": est.value_plus, "rg_est": est.rg,
-            "gap": est.value_plus - f, "bound_slack": slack, "holds": holds}
+            "gap": est.value_plus - f, "bound_slack": slack, "holds": holds, **more,
+            "sdp_upper": est.upper_plus}
 
 
 # -- gen -----------------------------------------------------------------------
@@ -236,7 +238,8 @@ def _cmd_check(args) -> int:
     row = {"model": "file", "n": A.n, "k": config.k, "seed": args.seed, "eps": eps,
            **_bound(A, config, stiefel.oc_objective(A, config), eps, est)}
     print(f"holds={row['holds']} slack={row['bound_slack']:.10g} sdp_est={est.value_plus:.10g} "
-          f"rg_est={est.rg:.10g} eps={eps:.6g} converged_est={est.converged}")
+          f"rg_est={est.rg:.10g} eps={eps:.6g} converged_est={est.converged} "
+          f"sdp_upper={est.upper_plus:.10g}")
     if args.out:
         _write_csv(args.out, [row])
     return 3 if args.strict and not (row["holds"] and est.converged) else 0
@@ -315,7 +318,8 @@ def _cmd_landscape(args) -> int:
                                   "f": rep.objective, "grad_norm": rep.grad_norm})
             final_rows.append({"model": "goe", "n": args.n, "k": k, "seed": seed,
                                "gap": est.value_plus - rep.objective, "sdp_est": est.value_plus,
-                               "rg_est": est.rg, "f": rep.objective})
+                               "rg_est": est.rg, "f": rep.objective,
+                               "sdp_upper": est.upper_plus})
     _write_sweep(args.out, traj_rows, ("k", "seed", "iter"))
     return _write_sweep(str(args.out) + ".final.csv", final_rows, ("k", "seed"))
 
@@ -336,8 +340,8 @@ def _cmd_ocsdp(args) -> int:
                 solver.default_epsilon(A, k, "stiefel")
             rows.append({"model": "goe-oc", "n": args.n, "d": d, "k": k,
                          "k_d": solver.effective_rank(k, d), "seed": seed, "solver": args.solver,
-                         **_bound(A, rep.sigma, rep.objective, eps, est),
-                         "converged": rep.converged})
+                         **_bound(A, rep.sigma, rep.objective, eps, est,
+                                  converged=rep.converged)})
     return _write_sweep(args.out, rows, ("k", "seed"), args.strict)
 
 

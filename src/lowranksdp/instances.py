@@ -159,9 +159,8 @@ def sbm(n: int, a: float, b: float, seed) -> Instance:
     cols.append(minus[j])
     iu, ju = np.concatenate(rows), np.concatenate(cols)
     adj = _mirror(n, iu, ju, np.ones(iu.size)).tocsr()
-    adjacency = SymmetricMatrix(adj)
-    core = adj / np.sqrt(d)
-    centered = SymmetricMatrix(core, shift=-(d / n) / np.sqrt(d))
+    adjacency = SymmetricMatrix._symmetric(adj)
+    centered = SymmetricMatrix._symmetric(adj / np.sqrt(d), shift=-(d / n) / np.sqrt(d))
     return Instance(A=centered, ground_truth=u,
                     meta={"model": "sbm", "n": n, "a": a, "b": b, "seed": seed,
                           "snr": sbm_snr(a, b)},
@@ -234,7 +233,7 @@ def centered_regular(n: int, d: int, seed) -> SymmetricMatrix:
 
     The rank-one correction stays lazy, so mat-vecs remain O(edges + n).
     """
-    return SymmetricMatrix(random_regular(n, d, seed)._core, shift=-float(d) / n)
+    return SymmetricMatrix._symmetric(random_regular(n, d, seed)._core, shift=-float(d) / n)
 
 
 def so_sync(m: int, d: int, noise: float, seed) -> Instance:

@@ -391,6 +391,25 @@ def _bb_ascent(geom: _Geometry, state: _State, iters: int, grad_tol: float):
     return state, steps, trials
 
 
+# the climb stops once the gradient norm is at most _CLIMB_RTOL ||A||_1
+_CLIMB_RTOL = 1e-3
+
+
+def _climb(A: SymmetricMatrix, k: int, manifold: str, start, rng, iters: int):
+    """The warm start of ``solve``; returns ``(geom, state, steps)``.
+
+    The state at ``start`` (a uniformly random point drawn from ``rng`` when
+    None, the only draw), then at most ``iters`` steps of ``_bb_ascent``
+    toward gradient norm ``_CLIMB_RTOL`` ||A||_1; a zero matrix is not climbed.
+    """
+    geom = _Geometry(A, k, manifold)
+    state = geom.evaluate(start if start is not None else geom.random_point(rng))
+    steps = 0
+    if geom.l1 > 0.0:
+        state, steps, _ = _bb_ascent(geom, state, iters, _CLIMB_RTOL * geom.l1)
+    return geom, state, steps
+
+
 # -- parameter defaults --------------------------------------------------------
 
 
@@ -711,12 +730,8 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None, *,
     opts.validate()
     if warm_iters < 0:
         raise ValueError("warm_iters must be >= 0")
-    geom = _Geometry(A, opts.k, opts.manifold)
     rng = np.random.default_rng(opts.seed)
-    state = geom.evaluate(sigma0 if sigma0 is not None else geom.random_point(rng))
-    warm_steps = 0
-    if geom.l1 > 0.0:
-        state, warm_steps, _ = _bb_ascent(geom, state, warm_iters, 1e-3 * geom.l1)
+    geom, state, warm_steps = _climb(A, opts.k, opts.manifold, sigma0, rng, warm_iters)
     epsilon = opts.epsilon if opts.epsilon is not None else default_epsilon(A, opts.k, opts.manifold)
     trace = [StepRecord(0, "init", 0.0, state.objective, state.grad_norm)]
 

@@ -48,6 +48,13 @@ class OpnormEstimate(NamedTuple):
     upper: float
 
 
+def _checked_shift(shift) -> float:
+    shift = float(shift)
+    if not np.isfinite(shift):
+        raise ValueError("shift must be finite")
+    return shift
+
+
 def _checked_block_dim(n: int, block_dim) -> int | None:
     """``block_dim`` as an int, or None; it must divide ``n``."""
     if block_dim is None:
@@ -78,9 +85,7 @@ class SymmetricMatrix:
     """
 
     def __init__(self, data, shift: float = 0.0, block_dim: int | None = None):
-        shift = float(shift)
-        if not np.isfinite(shift):
-            raise ValueError("shift must be finite")
+        shift = _checked_shift(shift)
         sparse = sp.issparse(data)
         core = sp.csr_matrix(data, dtype=float) if sparse else np.array(data, dtype=float)
         if core.ndim != 2 or core.shape[0] != core.shape[1]:
@@ -93,12 +98,34 @@ class SymmetricMatrix:
                 raise ValueError("matrix is not symmetric (relative asymmetry %.3g)"
                                  % (asym / scale))
             core = (core + core.T) * 0.5
+        # checked after symmetrizing: NaN passes the asymmetry test (every
+        # comparison is False), and averaging can overflow finite input
+        self._wrap(core, sparse, shift, block_dim)
+
+    @classmethod
+    def _symmetric(cls, core, shift: float = 0.0,
+                   block_dim: int | None = None) -> "SymmetricMatrix":
+        """Wrap a core that is symmetric by construction, such as ``_mirror``'s.
+
+        A float CSR matrix or a square float array, which the matrix takes
+        over.  The asymmetry check and the averaging with the transpose are
+        skipped (the average of a symmetric core is the core itself); the
+        finite check stays, and a sparse core loses its duplicates and
+        explicit zeros, as the sum with its transpose would drop them.
+        """
+        out = cls.__new__(cls)
+        sparse = sp.issparse(core)
+        if sparse:
+            core.sum_duplicates()
+            core.eliminate_zeros()
+        out._wrap(core, sparse, _checked_shift(shift), block_dim)
+        return out
+
+    def _wrap(self, core, sparse: bool, shift: float, block_dim: int | None) -> None:
         if sparse:
             core.sum_duplicates()
         else:
             core.setflags(write=False)
-        # checked after symmetrizing: NaN passes the asymmetry test (every
-        # comparison is False), and averaging can overflow finite input
         if not np.all(np.isfinite(core.data if sparse else core)):
             raise ValueError("matrix entries must be finite")
         self._core = core
@@ -471,4 +498,4 @@ def _symmat(n: int, i: np.ndarray, j: np.ndarray, v: np.ndarray,
     mat = _mirror(n, i, j, v)
     density = mat.nnz / (n * n) if n else 0.0
     core = mat.tocsr() if density < _SPARSE_DENSITY_CUTOFF else mat.toarray()
-    return SymmetricMatrix(core, shift=shift, block_dim=block_dim)
+    return SymmetricMatrix._symmetric(core, shift=shift, block_dim=block_dim)

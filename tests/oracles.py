@@ -113,6 +113,26 @@ def sdp_dual_bound(A_dense, rows):
     return float(y.sum() + n * max(0.0, lam_max))
 
 
+def sdp_block_dual_bound(A_dense, rows, d):
+    """Weak-duality upper bound on the Orthogonal-Cut SDP max <A, X>, X PSD, X_ii = I_d.
+
+    For any symmetric d x d blocks Y_i, <A, X> = <A - blockdiag(Y), X> +
+    sum_i tr(Y_i) <= sum_i tr(Y_i) + n max(0, lam_max(A - blockdiag(Y))) since
+    tr X = n.  Here Y_i = sym((A sigma)_i sigma_i^T) at the frames ``rows``,
+    built one block at a time; at d = 1 this is ``sdp_dual_bound``.
+    """
+    n = A_dense.shape[0]
+    asig = A_dense @ rows
+    shifted = A_dense.copy()
+    trace = 0.0
+    for i in range(0, n, d):
+        y = asig[i:i + d] @ rows[i:i + d].T
+        y = 0.5 * (y + y.T)
+        shifted[i:i + d, i:i + d] -= y
+        trace += float(np.trace(y))
+    return trace + n * max(0.0, float(np.linalg.eigvalsh(shifted).max()))
+
+
 def fd_derivative(f_of_t, t, h, order):
     """Central finite differences of orders 1..3 for a scalar function."""
     if order == 1:

@@ -49,6 +49,7 @@ class TestEstimateSdp:
         A = SymmetricMatrix(np.zeros((8, 8)))
         est = estimate_sdp(A, seed=0)
         assert est.value_plus == 0.0 and est.value_minus == 0.0 and est.rg == 0.0
+        assert est.upper_plus == est.upper_minus == 0.0 and est.converged
 
     def test_rank_one_pm1_matrix_reaches_analytic_optimum(self):
         # A = u u^T: exhaustive +-1 maximum gives n^2 as a lower bound and
@@ -96,25 +97,148 @@ class TestEstimateSdp:
         assert est.value_minus <= upper_minus + 1e-9 <= 40 * (-lam.min())
 
 
+def bracket_ok(value, upper, l1):
+    """The stop rule of ``estimate_sdp``: upper - value <= 1e-3 max(|upper|, ||A||_1)."""
+    return upper - value <= 1e-3 * max(abs(upper), l1)
+
+
+class TestSdpBracket:
+    """The upper ends of ``estimate_sdp``: one dense eigvalsh per sign up to the cutoff."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: instances.goe(40, 2),
+        lambda: instances.goe(24, 7),
+        lambda: SymmetricMatrix(np.outer(*[np.random.default_rng(3).choice([-1.0, 1.0], 6)] * 2)),
+        lambda: -instances.erdos_renyi(60, 8.0, 1),
+    ], ids=["goe40", "goe24", "uu", "neg-er"])
+    def test_upper_ends_equal_the_dual_oracle(self, make):
+        A = make()
+        dense, n, l1 = A.to_dense(), A.n, A.l1_norm()
+        est = estimate_sdp(A, seed=1)
+        for value, upper, ok, B, point in (
+                (est.value_plus, est.upper_plus, est.converged_plus, dense, est.point_plus),
+                (est.value_minus, est.upper_minus, est.converged_minus, -dense, est.point_minus)):
+            assert upper == pytest.approx(oracles.sdp_dual_bound(B, point.rows),
+                                          abs=1e-9 * n * l1)
+            assert value <= upper
+            assert ok == bracket_ok(value, upper, l1)
+            assert ok
+        assert 0.0 <= est.rel_gap <= 1e-3
+
+    def test_block_upper_ends_equal_the_block_oracle(self):
+        A = instances.goe(36, 3).with_block_dim(3)
+        dense, n, l1 = A.to_dense(), A.n, A.l1_norm()
+        est = estimate_sdp(A, seed=2, manifold="stiefel")
+        assert est.point_plus.d == 3
+        for value, upper, ok, B, point in (
+                (est.value_plus, est.upper_plus, est.converged_plus, dense, est.point_plus),
+                (est.value_minus, est.upper_minus, est.converged_minus, -dense, est.point_minus)):
+            assert upper == pytest.approx(oracles.sdp_block_dual_bound(B, point.rows, 3),
+                                          abs=1e-9 * n * l1)
+            assert value <= upper
+            assert ok == bracket_ok(value, upper, l1)
+        # the block oracle at d = 1 is the scalar one
+        rows = random_config(36, 4, 0).rows
+        assert oracles.sdp_block_dual_bound(dense, rows, 1) == pytest.approx(
+            oracles.sdp_dual_bound(dense, rows), abs=1e-9 * n * l1)
+
+    def test_dense_path_runs_no_curvature_search_and_no_norm_estimate(self, monkeypatch):
+        from lowranksdp import solver, symmat
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no curvature search or ||A||_2 run on the dense path")
+        monkeypatch.setattr(solver, "_eigen_direction", forbidden)
+        monkeypatch.setattr(symmat, "opnorm_estimate", forbidden)
+        assert estimate_sdp(instances.goe(40, 2), seed=0).converged
+        assert estimate_sdp(instances.goe(36, 3).with_block_dim(3), seed=0,
+                            manifold="stiefel").converged
+
+    @pytest.mark.parametrize("manifold", ["sphere", "stiefel"])
+    def test_past_the_cutoff_is_the_fixed_recipe_without_upper_ends(self, monkeypatch, manifold):
+        from lowranksdp import analysis, solver
+
+        A = instances.goe(36, 3).with_block_dim(3)
+        monkeypatch.setattr(analysis, "_DENSE_CUTOFF", A.n - 1)
+        est = estimate_sdp(A, seed=5, manifold=manifold, pga_iters=500)
+        rank = est.rank_used
+        epsilon = solver.default_epsilon(A, rank, manifold)
+        seeds = np.random.SeedSequence(5).spawn(2)
+        for B, seed, value, ok, point in ((A, seeds[0], est.value_plus, est.converged_plus,
+                                           est.point_plus),
+                                          (-A, seeds[1], est.value_minus, est.converged_minus,
+                                           est.point_minus)):
+            rng = np.random.default_rng(seed)
+            sigma0 = solver.random_start(B, rank, rng, manifold)
+            opts = SolverOptions(k=rank, epsilon=epsilon, max_iters=40, power_C=2.0,
+                                 seed=int(rng.integers(2**32)), manifold=manifold,
+                                 max_power_iters=200)
+            rep = solve(B, opts, sigma0=sigma0, warm_iters=500)
+            assert value == rep.objective and ok == rep.converged
+            assert np.array_equal(point.rows, rep.sigma.rows)
+        assert est.upper_plus == est.upper_minus == math.inf
+        assert est.rel_gap == math.inf
+
+    def test_wide_bracket_climbs_on_within_pga_iters(self, monkeypatch):
+        from lowranksdp import analysis, solver
+
+        calls = []
+        climb = solver._bb_ascent
+
+        def recorded(geom, state, iters, grad_tol):
+            out = climb(geom, state, iters, grad_tol)
+            calls.append((iters, grad_tol, out[1]))
+            return out
+        monkeypatch.setattr(solver, "_bb_ascent", recorded)
+        A = instances.goe(40, 2)
+        l1 = A.l1_norm()
+        first = estimate_sdp(A, seed=0, pga_iters=2000)
+        assert [c[1] for c in calls] == [1e-3 * l1] * 2  # one climb per sign
+        # a tolerance no bracket meets: each sign climbs on from its point
+        monkeypatch.setattr(analysis, "_GAP_RTOL", 1e-15)
+        calls.clear()
+        est = estimate_sdp(A, seed=0, pga_iters=2000)
+        assert [c[1] for c in calls] == [1e-3 * l1, 1e-5 * l1] * 2
+        for (iters, _, steps), (more_iters, _, more) in zip(calls[::2], calls[1::2]):
+            assert more_iters == iters - steps and more > 0
+        assert est.value_plus >= first.value_plus and est.value_minus >= first.value_minus
+        assert est.upper_plus == pytest.approx(
+            oracles.sdp_dual_bound(A.to_dense(), est.point_plus.rows), abs=1e-9 * 40 * l1)
+        assert not est.converged
+
+    def test_small_budget_leaves_the_bracket_wide_without_raising(self):
+        A = instances.goe(40, 2)
+        est = estimate_sdp(A, seed=0, pga_iters=2)
+        assert not est.converged_plus and not est.converged_minus
+        assert est.value_plus <= est.upper_plus < math.inf
+        assert est.value_minus <= est.upper_minus < math.inf
+        assert est.rel_gap > 1e-3
+
+    def test_rel_gap(self):
+        assert SdpEstimate(0.0, 0.0, rank_used=4, upper_plus=0.0, upper_minus=0.0).rel_gap == 0.0
+        assert SdpEstimate(9.0, 1.0, rank_used=4, upper_plus=11.0, upper_minus=1.5).rel_gap == \
+            pytest.approx(2.5 / 12.5)
+        assert SdpEstimate(9.0, 1.0, rank_used=4).rel_gap == math.inf
+
+
 class TestGrothendieckCheck:
     def test_zero_matrix_trivial(self):
         A = SymmetricMatrix(np.zeros((6, 6)))
         cfg = random_config(6, 3, 0)
-        est = SdpEstimate(0.0, 0.0, rank_used=4, epsilon_used=1.0)
+        est = SdpEstimate(0.0, 0.0, rank_used=4)
         holds, slack = grothendieck_check(A, cfg, 0.0, est, tol=0.0)
         assert holds and slack == 0.0
 
     def test_k1_rejected(self):
         A = instances.goe(5, 0)
         cfg = random_config(5, 1, 0)
-        est = SdpEstimate(1.0, 1.0, rank_used=4, epsilon_used=1.0)
+        est = SdpEstimate(1.0, 1.0, rank_used=4)
         with pytest.raises(ValueError):
             grothendieck_check(A, cfg, 0.1, est)
 
     @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
     def test_epsilon_out_of_range_rejected(self, eps):
         A = instances.goe(5, 0)
-        est = SdpEstimate(1.0, 1.0, rank_used=4, epsilon_used=1.0)
+        est = SdpEstimate(1.0, 1.0, rank_used=4)
         with pytest.raises(ValueError, match="epsilon"):
             grothendieck_check(A, random_config(5, 3, 0), eps, est)
 
@@ -130,7 +254,7 @@ class TestGrothendieckCheck:
 
     def test_oc_check_d1_equals_sphere_check(self):
         A = instances.goe(20, 4)
-        est = SdpEstimate(12.0, 11.0, rank_used=7, epsilon_used=0.5)
+        est = SdpEstimate(12.0, 11.0, rank_used=7)
         cfg = stiefel.oc_random_config(20, 1, 3, 1)
         scfg = SphereConfig(cfg.rows)
         h1, s1 = grothendieck_check(A, scfg, 0.5, est)
@@ -140,14 +264,14 @@ class TestGrothendieckCheck:
     def test_oc_check_zero_matrix_zero_slack(self):
         A = SymmetricMatrix(np.zeros((12, 12)), block_dim=3)
         cfg = stiefel.oc_random_config(4, 3, 5, 0)
-        est = SdpEstimate(0.0, 0.0, rank_used=9, epsilon_used=0.0)
+        est = SdpEstimate(0.0, 0.0, rank_used=9)
         holds, slack = oc_grothendieck_check(A, cfg, 0.0, est, tol=0.0)
         assert holds and slack == 0.0
 
     def test_oc_check_kd_guard(self):
         A = instances.goe(12, 0).with_block_dim(3)
         cfg = stiefel.oc_random_config(4, 3, 3, 0)  # k_d = 1.5 ok, k=3 >= d
-        est = SdpEstimate(1.0, 1.0, rank_used=5, epsilon_used=0.5)
+        est = SdpEstimate(1.0, 1.0, rank_used=5)
         holds, slack = oc_grothendieck_check(A, cfg, 0.5, est)
         assert isinstance(holds, (bool, np.bool_))
         small = stiefel.oc_random_config(4, 3, 2, 0) if False else None

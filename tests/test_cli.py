@@ -92,17 +92,28 @@ class TestSolveAndCheck:
         assert outs[0] == outs[1] == outs[2]
         assert "gradient=0 " not in outs[0] and " warm_steps=0 products=" in outs[0]
 
-    def test_check_pipeline(self, tmp_path):
+    def test_check_pipeline(self, tmp_path, capsys):
         mat = tmp_path / "m.symmat"
         cfg = tmp_path / "c.config"
         run(["gen", "--model", "goe", "--n", 24, "--seed", 7, "--out", mat])
         run(["solve", "--in", mat, "--k", 3, "--seed", 0, "--out-config", cfg,
              "--pga-iters", 800])
+        capsys.readouterr()
         out = tmp_path / "check.csv"
         assert run(["check", "--in-matrix", mat, "--in-config", cfg,
                     "--pga-iters", 500, "--out", out]) == 0
-        header = out.read_text().splitlines()[0]
-        assert header.startswith("model,n,k,seed,eps,f,sdp_est")
+        with open(out) as fh:
+            reader = csv.DictReader(fh)
+            (row,) = list(reader)
+        assert reader.fieldnames == ["model", "n", "k", "seed", "eps", "f", "sdp_est", "rg_est",
+                                     "gap", "bound_slack", "holds", "sdp_upper"]
+        # the upper end of SDP(A) closes the printed line: finite and above the estimate
+        fields = dict(tok.split("=", 1) for tok in capsys.readouterr().out.split())
+        assert list(fields)[-1] == "sdp_upper"
+        est = analysis.estimate_sdp(load_symmat(mat), seed=0, pga_iters=500)
+        assert float(fields["sdp_upper"]) == pytest.approx(est.upper_plus, rel=1e-9)
+        assert float(row["sdp_upper"]) == est.upper_plus < np.inf
+        assert float(row["sdp_est"]) <= est.upper_plus
 
     def test_generated_sbm_keeps_its_lazy_shift(self, tmp_path, monkeypatch):
         # the file holds the sparse core and the shift, so a solve from it is the
@@ -177,6 +188,8 @@ class TestSweeps:
         assert out.exists() and (tmp_path / "land.csv.final.csv").exists()
         header = out.read_text().splitlines()[0]
         assert header == "model,n,k,seed,iter,curvature,gap_2_over_n,f,grad_norm"
+        final = (tmp_path / "land.csv.final.csv").read_text().splitlines()[0]
+        assert final == "model,n,k,seed,gap,sdp_est,rg_est,f,sdp_upper"
 
     def test_landscape_curvature_is_a_lanczos_bound(self, tmp_path):
         # rebuild the last trajectory point from its seeds: the curvature
@@ -211,7 +224,9 @@ class TestSweeps:
         assert run(["ocsdp", "--n", 24, "--d", 3, "--k-grid", "6",
                     "--seeds", "0", "--pga-iters", 300, "--out", out]) == 0
         rows = out.read_text().splitlines()
-        assert rows[0].split(",")[:5] == ["model", "n", "d", "k", "k_d"]
+        assert rows[0].split(",") == ["model", "n", "d", "k", "k_d", "seed", "solver", "f",
+                                      "sdp_est", "rg_est", "gap", "bound_slack", "holds",
+                                      "converged", "sdp_upper"]
         assert len(rows) == 2
 
     @pytest.mark.parametrize("argv", [

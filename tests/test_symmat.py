@@ -75,6 +75,66 @@ class TestConstruction:
         assert np.allclose((-A).to_dense(), -A.to_dense())
 
 
+def _same_core(A, B):
+    """Bit-identical cores: the same storage, arrays and flags."""
+    if A.is_sparse or B.is_sparse:
+        assert A.is_sparse and B.is_sparse
+        return all(np.array_equal(getattr(A._core, f), getattr(B._core, f))
+                   and getattr(A._core, f).dtype == getattr(B._core, f).dtype
+                   for f in ("data", "indices", "indptr"))
+    return np.array_equal(A._core, B._core) and not A._core.flags.writeable
+
+
+class TestSymmetricByConstruction:
+    """``SymmetricMatrix._symmetric`` skips the symmetry check and the averaging
+    on cores built symmetric; the result equals the checked construction."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: instances.erdos_renyi(300, 6.0, 4),
+        lambda: instances.random_regular(120, 5, 2),
+        lambda: instances.sbm(200, 12, 4, 0).A,
+        lambda: instances.sbm(200, 12, 4, 0).adjacency,
+        lambda: instances.centered_regular(100, 4, 1),
+        lambda: instances.erdos_renyi(40, 30.0, 1),  # dense: above the density cutoff
+    ], ids=["er", "regular", "sbm", "sbm-adjacency", "centered-regular", "er-dense"])
+    def test_generators_equal_the_checked_construction(self, make):
+        A = make()
+        checked = SymmetricMatrix(A._core, shift=A.shift)
+        assert checked.shift == A.shift
+        assert _same_core(A, checked)
+
+    def test_loaded_dense_file_equals_the_checked_construction(self, tmp_path):
+        A = instances.goe(30, 5).with_block_dim(3)
+        path = tmp_path / "goe.symmat"
+        save_symmat(A, path)
+        B = load_symmat(path)
+        assert not B.is_sparse and B.block_dim == 3
+        assert _same_core(B, A)
+        assert _same_core(B, SymmetricMatrix(B._core))
+
+    def test_loaded_sparse_file_drops_explicit_zeros_as_the_checked_construction_does(
+            self, tmp_path):
+        path = tmp_path / "z.symmat"
+        path.write_text("symmat n 40\n0 1 2.5\n1 2 0\n3 3 -0.0\n5 9 -1\n")
+        B = load_symmat(path)
+        assert B.is_sparse and B._core.nnz == 4
+        checked = SymmetricMatrix(symmat._mirror(40, np.array([0, 1, 3, 5]), np.array([1, 2, 3, 9]),
+                                                 np.array([2.5, 0.0, -0.0, -1.0])).tocsr())
+        assert _same_core(B, checked)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_load_still_rejects_nonfinite_values(self, tmp_path, bad):
+        for n in (3, 40):  # dense and sparse cores
+            path = tmp_path / "bad.symmat"
+            path.write_text(f"symmat n {n}\n0 0 1\n0 1 {bad}\n")
+            with pytest.raises(ValueError, match="finite"):
+                load_symmat(path)
+
+    def test_still_rejects_a_nonfinite_shift(self):
+        with pytest.raises(ValueError, match="finite"):
+            SymmetricMatrix._symmetric(sp.csr_matrix(np.eye(3)), shift=np.nan)
+
+
 class TestL1Norm:
     def test_zero_matrix(self):
         assert SymmetricMatrix(np.zeros((3, 3))).l1_norm() == 0.0
