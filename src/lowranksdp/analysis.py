@@ -7,8 +7,9 @@ point's objective is a feasible value, hence a lower end of SDP(A); at the
 point's own multipliers Lambda, sum_i tr(Lambda_i) + n max(0, lam_max(A -
 blockdiag(Lambda))) is an upper end, from one dense ``eigvalsh`` up to
 ``_DENSE_CUTOFF`` rows (Journee, Bach, Absil & Sepulchre, SIAM J. Optim. 2010,
-stop their low-rank SDP solver on the same certificate).  Past the cutoff
-the upper end is infinite.  The bound checks below use the lower end, so a
+stop their low-rank SDP solver on the same certificate).  Every size runs
+the same climb; past the cutoff the upper end is infinite, so the bracket
+is never converged there.  The bound checks below use the lower end, so a
 pass is conservative in that direction, and report the slack for analysis.
 """
 
@@ -21,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import solver, sphere, stiefel
-from .solver import SolverOptions, solve
 from .symmat import SymmetricMatrix
 
 __all__ = [
@@ -50,7 +50,8 @@ class SdpEstimate:
     lower ends; ``upper_plus`` and ``upper_minus`` are weak-duality upper ends
     (infinite where none was taken).  ``converged_plus`` and
     ``converged_minus`` report whether each bracket is within the tolerance
-    of ``estimate_sdp``.  ``point_plus`` and ``point_minus`` are the
+    of ``estimate_sdp``, so they are False wherever the upper end is
+    infinite.  ``point_plus`` and ``point_minus`` are the
     configurations whose objective values are reported (None for a zero
     matrix), the points at whose multipliers the upper ends were taken.
     """
@@ -127,8 +128,9 @@ def _wide(upper: float, value: float, l1: float) -> bool:
     """Whether a bracket is above tolerance: upper - value > _GAP_RTOL max(|upper|, ||A||_1).
 
     The scale follows A, and ||A||_1 keeps it positive where SDP is near 0.
+    An infinite upper end is always wide.
     """
-    return upper - value > _GAP_RTOL * max(abs(upper), l1)
+    return upper == math.inf or upper - value > _GAP_RTOL * max(abs(upper), l1)
 
 
 def _dual_upper(shifted: np.ndarray, state) -> float:
@@ -146,24 +148,16 @@ def _dual_upper(shifted: np.ndarray, state) -> float:
 
 
 def _one_sided_estimate(B: SymmetricMatrix, sign: float, dense: np.ndarray | None, rank: int,
-                        epsilon: float | None, seed, manifold: str, pga_iters: int) -> _Side:
+                        seed, manifold: str, pga_iters: int) -> _Side:
     """The bracket of SDP(B), B = sign * A, from a climb at ``rank`` from a seeded start.
 
-    ``dense`` is A's dense copy; None past the dense cutoff, where ``epsilon``
-    is the curvature target of the fixed-recipe solve that gives the value.
-    ``B`` must not be zero.
+    ``dense`` is A's dense copy; None past the dense cutoff, where the upper
+    end is infinite.  ``B`` must not be zero.
     """
     rng = np.random.default_rng(seed)
-    if dense is None:
-        sigma0 = solver.random_start(B, rank, rng, manifold)
-        opts = SolverOptions(k=rank, mode=solver.MODE_GRADIENT_EIGEN, epsilon=epsilon,
-                             max_iters=40, power_C=2.0, seed=int(rng.integers(2**32)),
-                             manifold=manifold, max_power_iters=200)
-        report = solve(B, opts, sigma0=sigma0, warm_iters=pga_iters)
-        return _Side(report.objective, math.inf, report.converged, report.sigma)
     geom, state, steps = solver._climb(B, rank, manifold, None, rng, pga_iters)
-    upper = _dual_upper(sign * dense, state)
-    if _wide(upper, state.objective, geom.l1):
+    upper = math.inf if dense is None else _dual_upper(sign * dense, state)
+    if dense is not None and _wide(upper, state.objective, geom.l1):
         grad_tol = _RECLIMB_FACTOR * solver._CLIMB_RTOL * geom.l1
         state, more, _ = solver._bb_ascent(geom, state, pga_iters - steps, grad_tol)
         if more:
@@ -184,27 +178,23 @@ def estimate_sdp(A: SymmetricMatrix, seed=0, *, manifold: str = "sphere",
     the point's multipliers gives the weak-duality upper end, and the side is
     converged when upper - value <= 1e-3 max(|upper|, ||A||_1).  A wider
     bracket climbs on from the same point to a gradient norm 100 times
-    smaller, within the same ``pga_iters`` steps, and is taken once more.  No
-    curvature search and no ||A||_2 estimate runs on that path; every product
-    goes through ``SymmetricMatrix.dot``, and the dense copy is made once for
-    both signs.  Past the cutoff each side is the fixed-recipe
-    ``solver.solve`` (at most 40 trust-region steps toward the curvature target
-    ``solver.default_epsilon``, certificates capped at 200 Lanczos steps) and
-    the upper end is infinite.  A bracket left wide, an exhausted budget or a
-    shortened certificate is reported through the converged flags, never
-    raised.
+    smaller, within the same ``pga_iters`` steps, and is taken once more.
+    Past the cutoff the climb is all that runs: the upper end is infinite and
+    the side is not converged.  No curvature search and no ||A||_2 estimate
+    runs at any size; every product goes through ``SymmetricMatrix.dot``, and
+    the dense copy is made once for both signs.  A bracket left wide is
+    reported through the converged flags, never raised; a negative
+    ``pga_iters`` raises ValueError.
     """
+    if pga_iters < 0:
+        raise ValueError("pga_iters must be >= 0")
     rank = _estimate_rank(A, manifold)
     if A.l1_norm() == 0.0:
         return SdpEstimate(0.0, 0.0, rank_used=rank, upper_plus=0.0, upper_minus=0.0)
     seeds = np.random.SeedSequence(seed).spawn(2)
-    dense = epsilon = None
-    if A.n <= _DENSE_CUTOFF:
-        dense = A.to_dense()
-    else:
-        epsilon = solver.default_epsilon(A, rank, manifold)
-    plus = _one_sided_estimate(A, 1.0, dense, rank, epsilon, seeds[0], manifold, pga_iters)
-    minus = _one_sided_estimate(-A, -1.0, dense, rank, epsilon, seeds[1], manifold, pga_iters)
+    dense = A.to_dense() if A.n <= _DENSE_CUTOFF else None
+    plus = _one_sided_estimate(A, 1.0, dense, rank, seeds[0], manifold, pga_iters)
+    minus = _one_sided_estimate(-A, -1.0, dense, rank, seeds[1], manifold, pga_iters)
     return SdpEstimate(value_plus=plus.value, value_minus=minus.value, rank_used=rank,
                        converged_plus=plus.converged, converged_minus=minus.converged,
                        upper_plus=plus.upper, upper_minus=minus.upper,

@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import sphere, stiefel
+from . import stiefel
 from .symmat import SymmetricMatrix, _kw_steps, _lanczos, _tridiagonal
 
 __all__ = [
@@ -98,13 +98,14 @@ class SolverOptions:
     range Rg bounded by 2n||A||_2, i.e. 4||A||_2/(k-1) (divided by k_d-1 on
     the Stiefel product).  ``max_iters=None`` resolves to the worst-case
     iteration budget of the convergence analysis for the chosen mode.
+    ``max_power_iters`` caps every curvature search's Lanczos step count,
+    which otherwise makes the search's failure probability at most 1/n.
     """
 
     k: int
     mode: str = MODE_GRADIENT_EIGEN
     epsilon: float | None = None
     max_iters: int | None = None
-    power_C: float = 8.0
     seed: int = 0
     manifold: str = "sphere"
     max_power_iters: int | None = None
@@ -118,8 +119,6 @@ class SolverOptions:
             raise ValueError("epsilon must be positive")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.power_C <= 0.0:
-            raise ValueError("power_C must be positive")
         if self.max_power_iters is not None and self.max_power_iters < 1:
             raise ValueError("max_power_iters must be >= 1")
         if self.manifold not in ("sphere", "stiefel"):
@@ -161,8 +160,8 @@ class SolveReport:
 
     ``failure_prob`` bounds the probability that any curvature value of the
     solve is wrong by more than the analysis allows, by a union bound: 1/n
-    for the upper bound on ||A||_2 that sizes every search's shift, plus
-    n^(-power_C/8) for each curvature search run, at most 1.  It is 0 when no
+    for the upper bound on ||A||_2 that sizes every search's shift, plus 1/n
+    for each curvature search run: min((1 + searches)/n, 1).  It is 0 when no
     search ran.  ``warm_steps`` counts the warm start's accepted ascent steps
     (the trace begins at the point they reach); ``products`` counts the run's
     products ``A @ X`` (a paired Lanczos step once), all but the cached run
@@ -243,24 +242,22 @@ class _State:
     @property
     def hess(self):
         if self._hess is None:
-            self._hess = self.geom.hessian._at(self.geom.A, self.config, self.asig, self.lam)
+            self._hess = stiefel.OcHessianOperator._at(self.geom.A, self.config, self.asig,
+                                                       self.lam)
         return self._hess
 
 
 class _Geometry:
     """The frame product a solve runs on, with the constants of its analysis.
 
-    ``manifold="stiefel"`` takes d = ``A.block_dim``; ``"sphere"`` is d = 1
-    with the sphere names' Hessian, which accepts any block structure.
+    ``manifold="stiefel"`` takes d = ``A.block_dim``; ``"sphere"`` is d = 1,
+    which accepts any block structure.
     """
 
     def __init__(self, A: SymmetricMatrix, k: int, manifold: str):
-        if manifold == "stiefel":
-            if A.block_dim is None:
-                raise ValueError("stiefel solves need a matrix with block_dim set")
-            d, self.hessian = A.block_dim, stiefel.OcHessianOperator
-        else:
-            d, self.hessian = 1, sphere.HessianOperator
+        if manifold == "stiefel" and A.block_dim is None:
+            raise ValueError("stiefel solves need a matrix with block_dim set")
+        d = A.block_dim if manifold == "stiefel" else 1
         if k < d:
             raise ValueError("rank k must be at least the block dimension d")
         self.A, self.k, self.d, self.n, self.m = A, k, d, A.n, A.n // d
@@ -298,7 +295,7 @@ class _Geometry:
         if (config.k, config.d) != (self.k, self.d):
             raise ValueError(f"start has k = {config.k}, d = {config.d}; the solve runs at "
                              f"k = {self.k}, d = {self.d}")
-        self.hessian._check(self.A, config)
+        stiefel.OcHessianOperator._check(self.A, config)
         return self._state(config.rows, config)
 
     def advance(self, state: _State, u_rows: np.ndarray, t: float) -> _State:
@@ -487,7 +484,7 @@ def power_method(H, mu_H: float, N_H: int, seed):
     return type(start)(rows, H.config)
 
 
-def _krylov_step_count(opts: SolverOptions, n: int, dim: int, mu_H: float,
+def _krylov_step_count(cap: int | None, n: int, dim: int, mu_H: float,
                        epsilon: float, lam_prev: float | None) -> tuple[int, bool]:
     """Lanczos steps for one curvature search; returns ``(steps, capped)``.
 
@@ -496,15 +493,15 @@ def _krylov_step_count(opts: SolverOptions, n: int, dim: int, mu_H: float,
     loses at most lam_ref of curvature; lam_ref is the best available lower
     bound on the top curvature (the previous eigen Rayleigh value, floored at
     epsilon).  The count makes the Kuczynski-Wozniakowski failure probability
-    at most n^(-power_C / 8).  It is capped at ``dim``, where the Krylov space
-    is exhausted, and at ``max_power_iters``; ``capped`` reports whether the
-    latter shortened it.
+    at most 1/n.  It is capped at ``dim``, where the Krylov space is
+    exhausted, and at ``cap`` (``max_power_iters``; None for no cap);
+    ``capped`` reports whether the latter shortened it.
     """
     lam_ref = max(lam_prev if lam_prev is not None else 0.0, epsilon)
     e = min(lam_ref / (2.0 * mu_H), 1.0)
-    steps = max(min(_kw_steps(e, dim, opts.power_C / 8.0 * math.log(n)), dim), 1)
-    if opts.max_power_iters is not None and opts.max_power_iters < steps:
-        return int(opts.max_power_iters), True
+    steps = max(min(_kw_steps(e, dim, math.log(n)), dim), 1)
+    if cap is not None and cap < steps:
+        return int(cap), True
     return steps, False
 
 
@@ -531,9 +528,10 @@ class _Search(NamedTuple):
     capped: bool  # max_power_iters shortened the step count
 
 
-def _eigen_direction(state: _State, geom, opts: SolverOptions, epsilon: float,
+def _eigen_direction(state: _State, geom, cap: int | None, epsilon: float,
                      lam_prev: float | None, rng, pair: bool = False) -> list[_Search]:
-    """Top-curvature search by Lanczos from a random unit tangent.
+    """Top-curvature search by Lanczos from a random unit tangent, of at most
+    ``cap`` steps (None for no cap).
 
     When the top Ritz value certifies curvature at most ``epsilon``, ``lam_h``
     is that value and ``u`` the start vector, whose curvature it bounds.
@@ -549,7 +547,7 @@ def _eigen_direction(state: _State, geom, opts: SolverOptions, epsilon: float,
     """
     H, mu_H = state.hess, geom.shift(state)
     starts = [H.random_tangent(rng) for _ in range(1 + pair)]
-    steps, capped = _krylov_step_count(opts, geom.n, geom.tangent_dim(), mu_H,
+    steps, capped = _krylov_step_count(cap, geom.n, geom.tangent_dim(), mu_H,
                                        epsilon, lam_prev)
     # the shifted operator is mu_H on the normal space, the top of the tangent
     # spectrum near a critical point, so roundoff left there by an unprojected
@@ -585,8 +583,7 @@ def _eigen_direction(state: _State, geom, opts: SolverOptions, epsilon: float,
 
 
 def direction_finding(A: SymmetricMatrix, config, mu_G: float, *,
-                      epsilon: float, power_C: float = 8.0,
-                      lam_floor: float | None = None, seed=0):
+                      epsilon: float, lam_floor: float | None = None, seed=0):
     """One pass of the search-direction routine.
 
     Returns ``(u, kind, lam_h)`` with ``u`` a unit tangent: the normalized
@@ -595,19 +592,17 @@ def direction_finding(A: SymmetricMatrix, config, mu_G: float, *,
     (kind ``"eigen"``).  ``lam_h`` is the Hessian Rayleigh quotient of ``u``,
     except that a value at or below the target epsilon on an eigen direction
     is the Lanczos bound on the top curvature of the whole Krylov space
-    searched; it signals termination, not an error.  ``power_C`` sets the
-    per-search failure probability to ``n^(-power_C/8)``.  A d > 1 point
+    searched; it signals termination, not an error.  The search's step count
+    is uncapped, and it fails with probability at most 1/n.  A d > 1 point
     runs on the Stiefel product, which needs ``A.block_dim == d``.
     """
-    opts = SolverOptions(k=config.k, power_C=power_C)
-    opts.validate()
     geom = _Geometry(A, config.k, _manifold_of(config))
     state = geom.evaluate(config)
     rng = np.random.default_rng(seed)
     if state.grad_norm > mu_G:
         u = stiefel.StiefelTangent((1.0 / state.grad_norm) * state.grad, state.config)
         return u, "gradient", state.hess.rayleigh(u)
-    search = _eigen_direction(state, geom, opts, epsilon, lam_floor, rng)[0]
+    search = _eigen_direction(state, geom, None, epsilon, lam_floor, rng)[0]
     return search.u, "eigen", search.lam_h
 
 
@@ -668,10 +663,10 @@ def _step(state: _State, geom: _Geometry, opts: SolverOptions, epsilon: float,
             tau = max(0.5 * tau, eta)
         return _Step("gradient", tau, trial, math.nan, 0, False,
                      _bb_length(trial.rows - state.rows, state.grad - trial.grad))
-    searches = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng,
-                                pair=lam_prev is None)
+    cap = opts.max_power_iters
+    searches = _eigen_direction(state, geom, cap, epsilon, lam_prev, rng, pair=lam_prev is None)
     if searches[-1].certified and len(searches) == 1:
-        searches += _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)
+        searches += _eigen_direction(state, geom, cap, epsilon, lam_prev, rng)
     krylov_steps = sum(search.steps for search in searches)
     search = searches[-1]
     if search.certified:
@@ -765,7 +760,8 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None, *,
     else:
         if not trivial:
             # budget exhausted: measure (but do not certify) the current curvature
-            search = _eigen_direction(state, geom, opts, epsilon, lam_prev, rng)[0]
+            search = _eigen_direction(state, geom, opts.max_power_iters, epsilon, lam_prev,
+                                      rng)[0]
             cert = search.lam_h
             krylov_steps += search.steps
             searches += 1
@@ -777,8 +773,7 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None, *,
                        trace=trace, seed=opts.seed, epsilon=epsilon, mode=opts.mode,
                        manifold=geom.manifold, budget=budget, krylov_steps=krylov_steps,
                        cap_hit=cap_hit,
-                       failure_prob=(min(1.0 / geom.n + searches * geom.n ** (-opts.power_C / 8.0),
-                                         1.0) if searches else 0.0),
+                       failure_prob=min((1 + searches) / geom.n, 1.0) if searches else 0.0,
                        warm_steps=warm_steps, products=geom.products)
 
 

@@ -5,14 +5,14 @@ form <sigma, A sigma>.  Tangent vectors have each row orthogonal to the
 matching row of the base point, and the retraction normalizes the rows of
 sigma + t*u.  Every operation is the d = 1 case of ``stiefel``, which runs
 the row kernels and the unit-row tolerance there; this module only keeps
-the MaxCut names.  Unlike the Orthogonal-Cut names, these accept a matrix
-with any block structure.
+the MaxCut names.  Like the Orthogonal-Cut names at d = 1, these accept a
+matrix with any block structure; ``HessianOperator`` is ``OcHessianOperator``.
 """
 
 from __future__ import annotations
 
 from .stiefel import (
-    OcHessianOperator,
+    OcHessianOperator as HessianOperator,
     StiefelConfig as SphereConfig,
     StiefelTangent as TangentField,
     oc_objective as objective,
@@ -40,17 +40,6 @@ __all__ = [
     "save_config",
     "load_config",
 ]
-
-
-class HessianOperator(OcHessianOperator):
-    """Hessian at a point of the sphere product; the matrix needs no block structure."""
-
-    @staticmethod
-    def _check(A: SymmetricMatrix, config: SphereConfig) -> None:
-        if A.n != config.n:
-            raise ValueError("dimension mismatch between matrix and configuration")
-        if config.d != 1:
-            raise ValueError("the sphere product needs a d = 1 configuration")
 
 
 def gradient(A: SymmetricMatrix, config: SphereConfig) -> TangentField:

@@ -272,8 +272,9 @@ class OcHessianOperator:
     at d = 1).  On the tangent space the Hessian acts as
     u -> P_T(2(A - Lambda) u); the quadratic form is 2 <u, (A - Lambda) u>.
     Caches A sigma and Lambda at construction; safe for concurrent read-only
-    application.  The matrix must carry ``block_dim == d``; the d = 1
-    subclass ``sphere.HessianOperator`` takes any matrix of matching size.
+    application.  At d > 1 the matrix must carry ``block_dim == d``; at d = 1
+    any matrix of matching size is taken (``sphere.HessianOperator`` is this
+    class).
     """
 
     def __init__(self, A: SymmetricMatrix, config: StiefelConfig):
@@ -297,7 +298,7 @@ class OcHessianOperator:
     def _check(A: SymmetricMatrix, config: StiefelConfig) -> None:
         if A.n != config.n:
             raise ValueError("dimension mismatch between matrix and configuration")
-        if A.block_dim != config.d:
+        if config.d > 1 and A.block_dim != config.d:
             raise ValueError("matrix lacks matching block structure (block_dim != d)")
 
     @property

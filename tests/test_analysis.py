@@ -142,41 +142,53 @@ class TestSdpBracket:
         assert oracles.sdp_block_dual_bound(dense, rows, 1) == pytest.approx(
             oracles.sdp_dual_bound(dense, rows), abs=1e-9 * n * l1)
 
-    def test_dense_path_runs_no_curvature_search_and_no_norm_estimate(self, monkeypatch):
-        from lowranksdp import solver, symmat
+    @pytest.mark.parametrize("past", [False, True], ids=["dense", "past-cutoff"])
+    def test_estimate_runs_no_search_norm_run_or_solve(self, monkeypatch, past):
+        from lowranksdp import analysis, solver, symmat
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("no curvature search or ||A||_2 run on the dense path")
+            raise AssertionError("no curvature search, ||A||_2 run or solve in an estimate")
         monkeypatch.setattr(solver, "_eigen_direction", forbidden)
         monkeypatch.setattr(symmat, "opnorm_estimate", forbidden)
-        assert estimate_sdp(instances.goe(40, 2), seed=0).converged
-        assert estimate_sdp(instances.goe(36, 3).with_block_dim(3), seed=0,
-                            manifold="stiefel").converged
+        monkeypatch.setattr(solver, "solve", forbidden)
+        if past:
+            monkeypatch.setattr(analysis, "_DENSE_CUTOFF", 35)
+        for est in (estimate_sdp(instances.goe(40, 2), seed=0),
+                    estimate_sdp(instances.goe(36, 3).with_block_dim(3), seed=0,
+                                 manifold="stiefel")):
+            assert est.converged is not past
 
     @pytest.mark.parametrize("manifold", ["sphere", "stiefel"])
-    def test_past_the_cutoff_is_the_fixed_recipe_without_upper_ends(self, monkeypatch, manifold):
+    def test_past_the_cutoff_is_the_climb_without_upper_ends(self, monkeypatch, manifold):
         from lowranksdp import analysis, solver
 
         A = instances.goe(36, 3).with_block_dim(3)
         monkeypatch.setattr(analysis, "_DENSE_CUTOFF", A.n - 1)
         est = estimate_sdp(A, seed=5, manifold=manifold, pga_iters=500)
-        rank = est.rank_used
-        epsilon = solver.default_epsilon(A, rank, manifold)
         seeds = np.random.SeedSequence(5).spawn(2)
         for B, seed, value, ok, point in ((A, seeds[0], est.value_plus, est.converged_plus,
                                            est.point_plus),
                                           (-A, seeds[1], est.value_minus, est.converged_minus,
                                            est.point_minus)):
-            rng = np.random.default_rng(seed)
-            sigma0 = solver.random_start(B, rank, rng, manifold)
-            opts = SolverOptions(k=rank, epsilon=epsilon, max_iters=40, power_C=2.0,
-                                 seed=int(rng.integers(2**32)), manifold=manifold,
-                                 max_power_iters=200)
-            rep = solve(B, opts, sigma0=sigma0, warm_iters=500)
-            assert value == rep.objective and ok == rep.converged
-            assert np.array_equal(point.rows, rep.sigma.rows)
+            _, state, _ = solver._climb(B, est.rank_used, manifold, None,
+                                        np.random.default_rng(seed), 500)
+            assert value == state.objective and not ok
+            assert np.array_equal(point.rows, state.rows)
         assert est.upper_plus == est.upper_minus == math.inf
-        assert est.rel_gap == math.inf
+        assert est.rel_gap == math.inf and not est.converged
+
+    @pytest.mark.parametrize("cutoff", [2000, 35], ids=["dense", "past-cutoff"])
+    def test_negative_pga_iters_raises(self, monkeypatch, cutoff):
+        from lowranksdp import analysis
+
+        monkeypatch.setattr(analysis, "_DENSE_CUTOFF", cutoff)
+        with pytest.raises(ValueError, match="pga_iters"):
+            estimate_sdp(instances.goe(40, 2), seed=0, pga_iters=-3)
+        # no steps is allowed: the estimate is the seeded start's objective
+        est = estimate_sdp(instances.goe(40, 2), seed=0, pga_iters=0)
+        start = random_config(40, est.rank_used,
+                              np.random.default_rng(np.random.SeedSequence(0).spawn(2)[0]))
+        assert est.value_plus == sphere.objective(instances.goe(40, 2), start)
 
     def test_wide_bracket_climbs_on_within_pga_iters(self, monkeypatch):
         from lowranksdp import analysis, solver

@@ -115,6 +115,19 @@ class TestSolveAndCheck:
         assert float(row["sdp_upper"]) == est.upper_plus < np.inf
         assert float(row["sdp_est"]) <= est.upper_plus
 
+    def test_check_past_the_cutoff_fails_strict(self, tmp_path, capsys, monkeypatch):
+        # no upper end past the dense cutoff, so the estimate is not converged
+        mat = tmp_path / "m.symmat"
+        cfg = tmp_path / "c.config"
+        run(["gen", "--model", "goe", "--n", 24, "--seed", 7, "--out", mat])
+        run(["solve", "--in", mat, "--k", 3, "--seed", 0, "--out-config", cfg])
+        monkeypatch.setattr(analysis, "_DENSE_CUTOFF", 23)
+        capsys.readouterr()
+        assert run(["check", "--in-matrix", mat, "--in-config", cfg, "--strict"]) == 3
+        fields = dict(tok.split("=", 1) for tok in capsys.readouterr().out.split())
+        assert fields["holds"] == "True"
+        assert fields["converged_est"] == "False" and fields["sdp_upper"] == "inf"
+
     def test_generated_sbm_keeps_its_lazy_shift(self, tmp_path, monkeypatch):
         # the file holds the sparse core and the shift, so a solve from it is the
         # in-memory solve bit for bit

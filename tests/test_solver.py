@@ -146,6 +146,13 @@ class TestLanczosCertificate:
         # Kuczynski-Wozniakowski random-start bound for n_steps Lanczos steps
         return 1.648 * math.sqrt(dim) * math.exp(-math.sqrt(e) * (2 * n_steps - 1))
 
+    @staticmethod
+    def start(A, k, seed, warm):
+        cfg = random_config(A.n, k, seed)
+        if warm:
+            cfg = projected_gradient_ascent(A, cfg, iters=4000, grad_tol=0.9 * A.opnorm()).sigma
+        return cfg
+
     @pytest.mark.parametrize("warm", [False, True])
     def test_exhausted_krylov_space_matches_dense_oracle(self, warm):
         # at count D the Krylov space is the whole tangent space, so both the
@@ -156,19 +163,24 @@ class TestLanczosCertificate:
         # grows over the 120 steps at n = 60 (seed 1 then errs by 2.7e-5 mu_H)
         n, k = (60, 3) if warm else (30, 3)
         for seed in range(3):
-            A = instances.goe(n, 700 + seed)
-            cfg = random_config(n, k, 800 + seed)
-            if warm:
-                cfg = projected_gradient_ascent(A, cfg, iters=4000,
-                                                grad_tol=0.9 * A.opnorm()).sigma
+            # a loose target asks for at least the D = 3 steps of a small
+            # instance, so the certificate searches its whole tangent space
+            A = instances.goe(3, 700 + seed)
+            cfg = self.start(A, 2, 800 + seed, warm)
             lam_max = oracles.tangent_hessian_lambda_max(A, cfg)
-            geom = solver._Geometry(A, k, "sphere")
+            geom = solver._Geometry(A, 2, "sphere")
             mu_h = geom.shift(geom.evaluate(cfg))  # the searches' shift
-            # a huge power_C asks for more than D steps even at a loose target
-            _, kind, cert = direction_finding(A, cfg, mu_G=math.inf, epsilon=lam_max + 1.0,
-                                              power_C=1e4, seed=seed)
+            eps = lam_max + 1.0
+            assert solver._krylov_step_count(None, A.n, 3, mu_h, eps, None) == (3, False)
+            _, kind, cert = direction_finding(A, cfg, mu_G=math.inf, epsilon=eps, seed=seed)
             assert kind == "eigen"
             assert abs(cert - lam_max) <= 1e-8 * mu_h
+            # a tight target asks for more than D steps at any size
+            A = instances.goe(n, 700 + seed)
+            cfg = self.start(A, k, 800 + seed, warm)
+            lam_max = oracles.tangent_hessian_lambda_max(A, cfg)
+            geom = solver._Geometry(A, k, "sphere")
+            mu_h = geom.shift(geom.evaluate(cfg))
             u, kind, lam_h = direction_finding(A, cfg, mu_G=math.inf, epsilon=1e-8, seed=seed)
             assert kind == "eigen" and lam_h > 1e-8
             assert abs(lam_h - lam_max) <= 1e-8 * mu_h
@@ -176,14 +188,13 @@ class TestLanczosCertificate:
 
     @pytest.mark.parametrize("dim", [5, 80, 10**6])
     @pytest.mark.parametrize("lam_ref", [1e-9, 1e-3, 0.5, 1e3])
-    @pytest.mark.parametrize("power_C", [2.0, 8.0])
-    def test_step_count_follows_kw_bound(self, dim, lam_ref, power_C):
-        n, mu_h = 40, 26.0
-        opts = SolverOptions(k=3, power_C=power_C)
-        steps, capped = solver._krylov_step_count(opts, n, dim, mu_h, lam_ref, None)
+    @pytest.mark.parametrize("mu_h", [2.0, 8.0])
+    def test_step_count_follows_kw_bound(self, dim, lam_ref, mu_h):
+        n = 40
+        steps, capped = solver._krylov_step_count(None, n, dim, mu_h, lam_ref, None)
         assert not capped
         e = min(lam_ref / (2 * mu_h), 1.0)
-        target = n ** (-power_C / 8)
+        target = 1 / n
         if steps < dim:
             # the smallest count whose failure probability meets the target
             assert self.kw_failure(steps, dim, e) <= target
@@ -191,13 +202,13 @@ class TestLanczosCertificate:
         else:
             assert steps == dim and self.kw_failure(dim - 1, dim, e) > target
         # lam_prev raises the reference curvature, never lowers it
-        assert solver._krylov_step_count(opts, n, dim, mu_h, lam_ref, 0.1 * lam_ref) == (steps, False)
+        assert solver._krylov_step_count(None, n, dim, mu_h, lam_ref, 0.1 * lam_ref) == (
+            steps, False)
         # max_power_iters caps the count, and cap_hit says so exactly when it bites
         for cap in (steps - 1, steps, steps + 1):
             if cap < 1:
                 continue
-            opts = SolverOptions(k=3, power_C=power_C, max_power_iters=cap)
-            assert solver._krylov_step_count(opts, n, dim, mu_h, lam_ref, None) == (
+            assert solver._krylov_step_count(cap, n, dim, mu_h, lam_ref, None) == (
                 min(cap, steps), cap < steps)
 
     def test_capped_certificate_is_not_converged(self):
@@ -208,7 +219,7 @@ class TestLanczosCertificate:
         assert oracles.tangent_hessian_lambda_max(A, warm.sigma) < eps
         geom = solver._Geometry(A, 3, "sphere")
         mu = geom.shift(geom.evaluate(warm.sigma))  # the solve's shift at its start
-        steps, _ = solver._krylov_step_count(SolverOptions(k=3), A.n, A.n * 2, mu, eps, None)
+        steps, _ = solver._krylov_step_count(None, A.n, A.n * 2, mu, eps, None)
         for cap, capped in ((None, False), (steps, False), (steps - 1, True)):
             rep = solve(A, SolverOptions(k=3, epsilon=eps, seed=5, max_power_iters=cap),
                         sigma0=warm.sigma)
@@ -319,10 +330,10 @@ class TestPairedLanczos:
         A, k = instances.goe(120, 5), 4
         geom = solver._Geometry(A, k, "sphere")
         state = geom.evaluate(random_config(A.n, k, 6))
-        opts = SolverOptions(k=k, max_power_iters=25)  # well below the tangent dimension
         A.opnorm()  # caches the bound that sizes the shift: the products seen are the search's
         seen = self.widths(monkeypatch)
-        search, = solver._eigen_direction(state, geom, opts, 1e-8, None,
+        # a cap of 25 steps, well below the tangent dimension
+        search, = solver._eigen_direction(state, geom, 25, 1e-8, None,
                                           np.random.default_rng(7), pair=pair)
         assert not search.certified and search.steps == 25
         # the search (beside its retry when paired), the replay that rebuilds
@@ -341,9 +352,9 @@ class TestPairedLanczos:
                                             grad_tol=0.9 * A.opnorm()).sigma
             geom = solver._Geometry(A, 3, "sphere")
             state = geom.evaluate(cfg)
-            # a huge power_C asks for more than D steps at any shift
-            search = solver._eigen_direction(state, geom, SolverOptions(k=3, power_C=1e4), 0.02,
-                                             None, np.random.default_rng(seed), pair=True)[0]
+            # a tight target asks for more than D steps
+            search = solver._eigen_direction(state, geom, None, 1e-8, None,
+                                             np.random.default_rng(seed), pair=True)[0]
             assert not search.certified and search.steps == geom.tangent_dim()
             lam_max = oracles.tangent_hessian_lambda_max(A, cfg)
             assert abs(search.lam_h - lam_max) <= 1e-12 * geom.shift(state)
@@ -563,12 +574,14 @@ class TestSolve:
         A = instances.goe(40, 3)
         warm = projected_gradient_ascent(A, random_config(40, 3, 4), iters=5000,
                                          grad_tol=1e-6)
-        for power_C in (8.0, 16.0):
-            rep = solve(A, SolverOptions(k=3, epsilon=0.5, seed=5, power_C=power_C),
-                        sigma0=warm.sigma)
-            assert rep.converged and rep.iterations == 0
-            # the bound on ||A||_2, then the certificate and its retry
-            assert rep.failure_prob == pytest.approx(1 / 40 + 2 * 40 ** (-power_C / 8))
+        rep = solve(A, SolverOptions(k=3, epsilon=0.5, seed=5), sigma0=warm.sigma)
+        assert rep.converged and rep.iterations == 0
+        # the bound on ||A||_2, then the certificate and its retry, 1/n each
+        assert rep.failure_prob == (1 + 2) / 40
+        # each eigen step searches once more, and the union bound stops at 1
+        rep = solve(instances.goe(4, 3), SolverOptions(k=3, mode=MODE_EIGEN_ONLY, epsilon=1e-9,
+                                                      max_iters=3, seed=5))
+        assert rep.eigen_steps == 3 and rep.failure_prob == 1.0
         assert solve(SymmetricMatrix(np.zeros((8, 8))), SolverOptions(k=3)).failure_prob == 0.0
 
     def test_budget_exhaustion_flags_not_raises(self):

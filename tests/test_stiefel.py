@@ -190,6 +190,20 @@ class TestGradientAndHessian:
             su = sphere.TangentField(u.rows, scfg)
             assert oc_rayleigh(A, cfg, u) == H.rayleigh(su)
 
+    def test_one_hessian_class(self):
+        # the sphere names' operator is this class; it asks for the block
+        # structure only where d > 1 needs it
+        assert sphere.HessianOperator is OcHessianOperator
+        A = instances.goe(12, 3)
+        cfg = oc_random_config(12, 1, 3, 1)
+        for B in (A, A.with_block_dim(3)):
+            assert OcHessianOperator(B, cfg).objective_value() == oc_objective(A, cfg)
+        cfg3 = oc_random_config(4, 3, 4, 1)
+        OcHessianOperator(A.with_block_dim(3), cfg3)
+        for B in (A, A.with_block_dim(2)):
+            with pytest.raises(ValueError, match="block_dim != d"):
+                OcHessianOperator(B, cfg3)
+
     def test_gradient_is_projected_euclidean(self):
         A = block_goe(12, 3, 5)
         cfg = oc_random_config(4, 3, 5, 2)
