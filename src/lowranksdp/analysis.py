@@ -154,8 +154,7 @@ def _one_sided_estimate(B: SymmetricMatrix, sign: float, dense: np.ndarray | Non
     ``dense`` is A's dense copy; None past the dense cutoff, where the upper
     end is infinite.  ``B`` must not be zero.
     """
-    rng = np.random.default_rng(seed)
-    geom, state, steps = solver._climb(B, rank, manifold, None, rng, pga_iters)
+    geom, state, steps, _ = solver._climb(B, rank, manifold, None, seed, pga_iters)
     upper = math.inf if dense is None else _dual_upper(sign * dense, state)
     if dense is not None and _wide(upper, state.objective, geom.l1):
         grad_tol = _RECLIMB_FACTOR * solver._CLIMB_RTOL * geom.l1
@@ -231,6 +230,11 @@ def _signs(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, -1.0)
 
 
+def _check_sphere_point(config) -> None:
+    if config.d != 1:
+        raise ValueError(f"needs a point of the sphere product (d = 1); has d = {config.d}")
+
+
 def _check_nonnegative_weights(A_G: SymmetricMatrix) -> None:
     if A_G.shift < 0.0:
         raise ValueError("graph weights must be nonnegative")
@@ -259,6 +263,7 @@ def gw_round(A_G: SymmetricMatrix, config: sphere.SphereConfig, num_samples: int
     Each draw samples u ~ N(0, I_k) and labels vertex i by the sign of
     <sigma_i, u> (ties to +1).  Weights must be nonnegative.
     """
+    _check_sphere_point(config)
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     _check_nonnegative_weights(A_G)
@@ -284,6 +289,7 @@ def principal_sign(config: sphere.SphereConfig) -> np.ndarray:
     sigma^T sigma.  Its global sign is the eigensolver's, which squared
     overlaps such as ``sign_correlation`` do not see.
     """
+    _check_sphere_point(config)
     rows = config.rows
     if config.k == 1:
         return _signs(rows[:, 0])
@@ -293,6 +299,7 @@ def principal_sign(config: sphere.SphereConfig) -> np.ndarray:
 
 def correlation(config: sphere.SphereConfig, u: np.ndarray) -> float:
     """Squared normalized overlap ||sigma^T u||^2 / n^2, always in [0, 1]."""
+    _check_sphere_point(config)
     u = np.asarray(u, dtype=float)
     if u.shape != (config.n,):
         raise ValueError("label vector length must match the configuration")

@@ -114,15 +114,15 @@ def _write_sweep(path, rows, sort_by, strict=False) -> int:
 
 
 def _maximizer(A, k, seed, args, *, manifold="sphere", epsilon=None):
-    """Run ``args.solver`` with the other solver flags of ``args`` from a seeded random start."""
-    sigma0 = solver.random_start(A, k, seed, manifold)
+    """Run ``args.solver`` with the other solver flags of ``args`` from ``seed``'s start."""
     if args.solver == "pga":
-        return solver.projected_gradient_ascent(A, sigma0, step=args.pga_step,
-                                                iters=args.pga_iters, record_every=10**9)
+        return solver.projected_gradient_ascent(A, solver.random_start(A, k, seed, manifold),
+                                                step=args.pga_step, iters=args.pga_iters,
+                                                record_every=10**9)
     opts = SolverOptions(k=k, mode=_MODE_BY_FLAG[args.solver], epsilon=epsilon,
                          max_iters=args.budget, seed=seed, manifold=manifold,
                          max_power_iters=3000)
-    return solver.solve(A, opts, sigma0=sigma0, warm_iters=args.pga_iters)
+    return solver.solve(A, opts, warm_iters=args.pga_iters)
 
 
 def _recovery(inst, seed, args):

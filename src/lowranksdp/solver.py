@@ -153,19 +153,18 @@ class SolveReport:
     more to rebuild the Ritz vector).  A search and its retry run side by
     side count 2 x steps but share steps products ``A @ [V1 V2]``; a retry
     dropped because the search beside it did not certify is not counted.
-    ``cap_hit`` records whether
-    ``max_power_iters`` shortened any step count below the one the
-    analysis asks for; a solve whose final certificate was shortened is
-    not reported as converged.
+    ``cap_hit`` records whether ``max_power_iters`` shortened any step count
+    below the one the analysis asks for; a solve whose final certificate was
+    shortened is not reported as converged.
 
     ``failure_prob`` bounds the probability that any curvature value of the
-    solve is wrong by more than the analysis allows, by a union bound: 1/n
-    for the upper bound on ||A||_2 that sizes every search's shift, plus 1/n
-    for each curvature search run: min((1 + searches)/n, 1).  It is 0 when no
-    search ran.  ``warm_steps`` counts the warm start's accepted ascent steps
-    (the trace begins at the point they reach); ``products`` counts the run's
-    products ``A @ X`` (a paired Lanczos step once), all but the cached run
-    that estimates ||A||_2.
+    solve is wrong by more than the analysis allows, by a union bound: 1/n for
+    the upper bound on ||A||_2 that sizes every search's shift, plus 1/n for
+    each curvature search run, each from a Gaussian drawn after the start:
+    min((1 + searches)/n, 1).  It is 0 when no search ran.  ``warm_steps``
+    counts the warm start's accepted ascent steps (the trace begins at the
+    point they reach); ``products`` counts the run's products ``A @ X`` (a
+    paired Lanczos step once), all but the cached run that estimates ||A||_2.
     """
 
     sigma: object
@@ -326,7 +325,8 @@ def _manifold_of(config) -> str:
 def random_start(A: SymmetricMatrix, k: int, seed, manifold: str = "sphere"):
     """Uniformly random point of the manifold a solve with these options runs on.
 
-    ``seed`` may be an integer or a numpy Generator (which is advanced).
+    ``seed`` may be an integer or a numpy Generator (which is advanced); an
+    integer gives the start that ``solve`` draws from that seed.
     """
     return _Geometry(A, k, manifold).random_point(seed)
 
@@ -392,19 +392,21 @@ def _bb_ascent(geom: _Geometry, state: _State, iters: int, grad_tol: float):
 _CLIMB_RTOL = 1e-3
 
 
-def _climb(A: SymmetricMatrix, k: int, manifold: str, start, rng, iters: int):
-    """The warm start of ``solve``; returns ``(geom, state, steps)``.
+def _climb(A: SymmetricMatrix, k: int, manifold: str, start, seed, iters: int):
+    """The start and warm start of ``solve``; returns ``(geom, state, steps, rng)``.
 
-    The state at ``start`` (a uniformly random point drawn from ``rng`` when
-    None, the only draw), then at most ``iters`` steps of ``_bb_ascent``
-    toward gradient norm ``_CLIMB_RTOL`` ||A||_1; a zero matrix is not climbed.
+    The state at ``start``, or at the uniformly random point that is the
+    first draw of ``seed``'s stream ``rng`` (drawn either way), then at most
+    ``iters`` steps of ``_bb_ascent`` toward gradient norm ``_CLIMB_RTOL``
+    ||A||_1; a zero matrix is not climbed.
     """
-    geom = _Geometry(A, k, manifold)
-    state = geom.evaluate(start if start is not None else geom.random_point(rng))
+    geom, rng = _Geometry(A, k, manifold), np.random.default_rng(seed)
+    drawn = geom.random_point(rng)
+    state = geom.evaluate(start if start is not None else drawn)
     steps = 0
     if geom.l1 > 0.0:
         state, steps, _ = _bb_ascent(geom, state, iters, _CLIMB_RTOL * geom.l1)
-    return geom, state, steps
+    return geom, state, steps, rng
 
 
 # -- parameter defaults --------------------------------------------------------
@@ -686,16 +688,16 @@ def rtr_step(A: SymmetricMatrix, config, opts: SolverOptions, *,
     """One step of the trust-region schedule; returns (next_config, record).
 
     A gradient step has no history here, so its trial length is the
-    |grad| / (4 ||A||_1) that a solve's first gradient step tries.  A zero
+    |grad| / (4 ||A||_1) that a solve's first gradient step tries.  Without
+    ``rng`` it is the first step of ``solve(A, opts, sigma0=config)``.  A zero
     matrix, a trivial tangent space (d = k = 1), or curvature certified at or
     below the target by two Lanczos searches in a row, produces no movement
     (kind ``"none"``), as ``solve`` stops there.  A ``config`` of another
     rank or block size than ``opts`` asks for raises ValueError.
     """
     opts.validate()
-    rng = np.random.default_rng(opts.seed if rng is None else rng)
-    geom = _Geometry(A, opts.k, opts.manifold)
-    state = geom.evaluate(config)
+    geom, state, _, stream = _climb(A, opts.k, opts.manifold, config, opts.seed, 0)
+    rng = stream if rng is None else np.random.default_rng(rng)
     if geom.l1 == 0.0 or geom.tangent_dim() == 0:
         return config, StepRecord(0, "none", 0.0, state.objective, state.grad_norm, 0.0)
     epsilon = opts.epsilon if opts.epsilon is not None else default_epsilon(A, opts.k, opts.manifold)
@@ -712,21 +714,21 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None, *,
     """Climb from a start, then run the trust-region method until the curvature
     certificate holds.
 
-    The climb is at most ``warm_iters`` steps of ``_bb_ascent``, which stops
-    once the gradient norm is at most 1e-3 ||A||_1 and draws nothing from the
-    seed.  The loop terminates when the gradient threshold is met
-    (gradient-eigen mode) and a Lanczos certificate reports top curvature at
-    most epsilon twice in a row, or when the step budget is exhausted.
-    ``converged`` is False then, and also when ``max_power_iters`` shortened
-    the final certificate's step count (no exception either way).  A start of
-    another rank or block size than ``opts`` raises ValueError; ``sigma0=None``
-    draws a uniformly random one.
+    The start is the first draw of ``opts.seed``'s stream even when ``sigma0``
+    replaces it, so the searches draw the same Gaussians either way, none of
+    them the start's.  The climb is at most ``warm_iters`` steps of
+    ``_bb_ascent``, which stops once the gradient norm is at most
+    1e-3 ||A||_1 and draws nothing.  The loop terminates when the gradient
+    threshold is met (gradient-eigen mode) and a Lanczos certificate reports
+    top curvature at most epsilon twice in a row, or when the step budget is
+    exhausted.  ``converged`` is False then, and also when ``max_power_iters``
+    shortened the final certificate's step count (no exception either way).
+    A start of another rank or block size than ``opts`` raises ValueError.
     """
     opts.validate()
     if warm_iters < 0:
         raise ValueError("warm_iters must be >= 0")
-    rng = np.random.default_rng(opts.seed)
-    geom, state, warm_steps = _climb(A, opts.k, opts.manifold, sigma0, rng, warm_iters)
+    geom, state, warm_steps, rng = _climb(A, opts.k, opts.manifold, sigma0, opts.seed, warm_iters)
     epsilon = opts.epsilon if opts.epsilon is not None else default_epsilon(A, opts.k, opts.manifold)
     trace = [StepRecord(0, "init", 0.0, state.objective, state.grad_norm)]
 

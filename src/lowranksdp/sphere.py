@@ -15,6 +15,7 @@ from .stiefel import (
     OcHessianOperator as HessianOperator,
     StiefelConfig as SphereConfig,
     StiefelTangent as TangentField,
+    oc_gradient as gradient,
     oc_objective as objective,
     oc_project_tangent as project_tangent,
     oc_random_config,
@@ -23,7 +24,6 @@ from .stiefel import (
     read_config,
     write_config,
 )
-from .symmat import SymmetricMatrix
 
 __all__ = [
     "SphereConfig",
@@ -42,17 +42,8 @@ __all__ = [
 ]
 
 
-def gradient(A: SymmetricMatrix, config: SphereConfig) -> TangentField:
-    """Riemannian gradient 2(A - Lambda) sigma, Lambda = ddiag(A sigma sigma^T)."""
-    return HessianOperator(A, config).gradient()
-
-
-def hessian_apply(H: HessianOperator, u: TangentField) -> TangentField:
-    return H.apply(u)
-
-
-def rayleigh(H: HessianOperator, u: TangentField) -> float:
-    return H.rayleigh(u)
+hessian_apply = HessianOperator.apply
+rayleigh = HessianOperator.rayleigh
 
 
 def random_config(n: int, k: int, seed) -> SphereConfig:

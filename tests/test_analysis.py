@@ -170,8 +170,8 @@ class TestSdpBracket:
                                            est.point_plus),
                                           (-A, seeds[1], est.value_minus, est.converged_minus,
                                            est.point_minus)):
-            _, state, _ = solver._climb(B, est.rank_used, manifold, None,
-                                        np.random.default_rng(seed), 500)
+            _, state, _, _ = solver._climb(B, est.rank_used, manifold, None,
+                                           np.random.default_rng(seed), 500)
             assert value == state.objective and not ok
             assert np.array_equal(point.rows, state.rows)
         assert est.upper_plus == est.upper_minus == math.inf
@@ -384,6 +384,23 @@ class TestCorrelation:
         cfg = random_config(5, 2, 0)
         with pytest.raises(ValueError):
             correlation(cfg, np.array([1.0, 2.0, 1.0, -1.0, 1.0]))
+
+
+class TestSphereOnlyHelpers:
+    """Rounding and overlaps read rows as points of the sphere product, so frames raise."""
+
+    CALLS = {
+        "gw_round": lambda cfg: gw_round(instances.erdos_renyi(30, 5, 1), cfg, 10, 0),
+        "principal_sign": principal_sign,
+        "correlation": lambda cfg: correlation(cfg, np.ones(30)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_frame_point_raises(self, name):
+        # 30 rows of ten 3 x 4 frames, the shape of a d = 1 point at k = 4
+        with pytest.raises(ValueError, match=r"sphere product \(d = 1\); has d = 3"):
+            self.CALLS[name](stiefel.oc_random_config(10, 3, 4, 0))
+        self.CALLS[name](random_config(30, 4, 0))
 
 
 class TestCutValue:

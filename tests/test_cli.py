@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from lowranksdp import analysis, cli, instances, solver, sphere
+from lowranksdp import analysis, cli, instances, solver, sphere, stiefel
 from lowranksdp.cli import main
-from lowranksdp.symmat import load_symmat
+from lowranksdp.symmat import load_symmat, save_symmat
 
 
 def run(argv):
@@ -91,6 +91,30 @@ class TestSolveAndCheck:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] == outs[2]
         assert "gradient=0 " not in outs[0] and " warm_steps=0 products=" in outs[0]
+
+    @pytest.mark.parametrize("pga_iters", [0, 300])
+    @pytest.mark.parametrize("manifold", ["sphere", "stiefel"])
+    @pytest.mark.parametrize("mode", ["rtr-b", "pga"])
+    def test_solve_is_the_library_run(self, tmp_path, capsys, mode, manifold, pga_iters):
+        # rtr modes pass solve no start, so it draws the seed's own; pga starts
+        # from random_start of the same seed
+        mat, cfg, lib = tmp_path / "m.symmat", tmp_path / "cli.config", tmp_path / "lib.config"
+        A = instances.goe(60, 2)
+        save_symmat(A.with_block_dim(3) if manifold == "stiefel" else A, mat)
+        A = load_symmat(mat)
+        capsys.readouterr()
+        assert run(["solve", "--in", mat, "--k", 4, "--seed", 1, "--mode", mode,
+                    "--manifold", manifold, "--pga-iters", pga_iters, "--out-config", cfg]) == 0
+        if mode == "pga":
+            rep = solver.projected_gradient_ascent(A, solver.random_start(A, 4, 1, manifold),
+                                                   iters=pga_iters, record_every=10**9)
+        else:
+            opts = solver.SolverOptions(k=4, seed=1, manifold=manifold, max_iters=20_000,
+                                        max_power_iters=3000)
+            rep = solver.solve(A, opts, warm_iters=pga_iters)
+        assert capsys.readouterr().out == rep.summary_line() + "\n"
+        stiefel.write_config(rep.sigma, lib)
+        assert cfg.read_bytes() == lib.read_bytes()
 
     def test_check_pipeline(self, tmp_path, capsys):
         mat = tmp_path / "m.symmat"

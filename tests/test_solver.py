@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -875,6 +876,69 @@ class TestWarmStart:
     def test_negative_warm_iters_raises(self):
         with pytest.raises(ValueError, match="warm_iters"):
             solve(instances.goe(20, 1), SolverOptions(k=3), warm_iters=-1)
+
+
+def report_fields(rep):
+    """Every field of a report, with the point as its bytes and the trace as exact reprs."""
+    fields = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+    fields["sigma"] = (rep.sigma.d, rep.sigma.rows.tobytes())
+    fields["trace"] = [repr(r) for r in rep.trace]
+    return fields
+
+
+class TestOneStream:
+    """The first draw of a solve's seed is its start, whether or not one is passed."""
+
+    @pytest.mark.parametrize("warm_iters", [0, 3000])
+    @pytest.mark.parametrize("manifold", ["sphere", "stiefel"])
+    def test_passing_the_seeds_start_is_the_same_run(self, manifold, warm_iters):
+        if manifold == "sphere":
+            A, k = instances.goe(120, 0), 4
+        else:
+            A, k = instances.goe(90, 0).with_block_dim(3), 6
+        for seed in range(4):
+            opts = SolverOptions(k=k, manifold=manifold, seed=seed)
+            drawn = solve(A, opts, warm_iters=warm_iters)
+            passed = solve(A, opts, sigma0=solver.random_start(A, k, seed, manifold),
+                           warm_iters=warm_iters)
+            assert drawn.krylov_steps > 0
+            assert report_fields(drawn) == report_fields(passed)
+
+    @pytest.mark.parametrize("pass_start", [False, True], ids=["drawn", "passed"])
+    @pytest.mark.parametrize("manifold", ["sphere", "stiefel"])
+    def test_no_search_starts_from_the_starts_gaussian(self, monkeypatch, manifold,
+                                                       pass_start):
+        A = instances.goe(90, 6).with_block_dim(3)
+        gaussians = []
+        draw = stiefel.oc_random_tangent
+
+        def spy(config, seed):
+            # the Gaussian the draw projects, read ahead with the stream put back
+            rng = np.random.default_rng(seed)
+            state = rng.bit_generator.state
+            gaussians.append(rng.standard_normal(config.rows.shape))
+            rng.bit_generator.state = state
+            return draw(config, rng)
+
+        monkeypatch.setattr(stiefel, "oc_random_tangent", spy)
+        start = solver.random_start(A, 6, 4, manifold) if pass_start else None
+        rep = solve(A, SolverOptions(k=6, manifold=manifold, seed=4), sigma0=start)
+        start_gaussian = np.random.default_rng(4).standard_normal((90, 6))
+        assert rep.krylov_steps > 0 and len(gaussians) >= 2
+        assert not any(np.array_equal(g, start_gaussian) for g in gaussians)
+
+    @pytest.mark.parametrize("kind", ["gradient", "eigen"])
+    def test_rtr_step_is_the_first_step_of_a_solve(self, kind):
+        A = instances.goe(60, 3)
+        if kind == "gradient":
+            start, opts = random_config(60, 3, 7), SolverOptions(k=3, epsilon=1e-6, seed=2)
+        else:
+            start = warm_point(A, 3, 7)
+            opts = SolverOptions(k=3, mode=MODE_EIGEN_ONLY, epsilon=1e-8, seed=2)
+        _, rec = rtr_step(A, start, opts)
+        rep = solve(A, dataclasses.replace(opts, max_iters=1), sigma0=start)
+        assert rec.kind == rep.trace[1].kind == kind
+        assert repr(dataclasses.replace(rec, index=1)) == repr(rep.trace[1])
 
 
 _ENTRIES = {"solve": lambda A, opts, start: solve(A, opts, sigma0=start),
