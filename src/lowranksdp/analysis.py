@@ -158,7 +158,7 @@ def _one_sided_estimate(B: SymmetricMatrix, sign: float, dense: np.ndarray | Non
     upper = math.inf if dense is None else _dual_upper(sign * dense, state)
     if dense is not None and _wide(upper, state.objective, geom.l1):
         grad_tol = _RECLIMB_FACTOR * solver._CLIMB_RTOL * geom.l1
-        state, more, _ = solver._bb_ascent(geom, state, pga_iters - steps, grad_tol)
+        state, more = solver._warm_ascent(geom, state, grad_tol, pga_iters - steps)
         if more:
             upper = _dual_upper(sign * dense, state)
     return _Side(state.objective, upper, not _wide(upper, state.objective, geom.l1),

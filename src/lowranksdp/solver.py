@@ -6,15 +6,18 @@ Two step schedules are implemented:
   direction found by Lanczos iteration, with step size
   lam_H / (100 ||A||_1).
 * ``gradient-eigen``: while the Riemannian gradient is large (above the
-  spectral norm of A) take gradient steps along grad / |grad|; otherwise
-  take an eigen-step of size
-  min(sqrt(lam_H / (216 ||A||_1)), lam_H / (12 ||A||_2)).  The paper's
-  gradient step has the fixed length eta = ||A||_2 / (20 ||A||_1); here a
-  step tries a Barzilai-Borwein length first and keeps it when a monotone
-  Armijo test passes, halving it down to eta otherwise.  The test asks for
-  the increase the paper proves for eta, so every step gains at least
-  ||A||_2^2 / (40 ||A||_1) and the analysis' budget stands; from a cold
-  start the phase takes tens of steps where fixed steps take thousands.
+  spectral norm of A) take gradient steps; otherwise take an eigen-step of
+  size min(sqrt(lam_H / (216 ||A||_1)), lam_H / (12 ||A||_2)).
+
+Every gradient step of a solve, the warm start's and the paper's phase's,
+is a step of one Barzilai-Borwein routine on the raw gradient, ``_ascent``,
+under one of two line-search policies: Zhang and Hager's nonmonotone test (``_WARM``) or
+the monotone Armijo test with rho = 1/2 (``_PAPER``).  Lengths are floored
+at t_f = min(1/(4.42 ||A||_1), 1/(20 |grad|)), taken untested: such a step
+gains at least t_f |grad|^2 / 2, which while |grad| > ||A||_2 is at least
+the ||A||_2^2 / (40 ||A||_1) of the paper's fixed step, so the analysis'
+budget stands; from a cold start the phase takes tens of steps where fixed
+steps take thousands.
 
 The run stops once a Lanczos run on the shifted Hessian (the recurrence of
 ``symmat``, which also estimates ||A||_2) certifies that the largest Hessian
@@ -39,13 +42,13 @@ There is one geometry, the frame product of ``stiefel``: the default
 ``manifold="sphere"`` is its d = 1 case, the product of spheres, and
 ``manifold="stiefel"`` takes d from the matrix's ``block_dim``.  ``solve``
 is the paper's recipe in one call: with ``warm_iters`` it first climbs from
-its start by Barzilai-Borwein gradient ascent with a nonmonotone line search
-(which typically reaches its gradient tolerance in a tenth or less of the
-products the fixed-step baseline spends), then certifies the point it
-reached by looping over the same private step that ``rtr_step`` takes once.
+its start by the warm start's policy (which typically reaches its gradient
+tolerance in a tenth or less of the products the fixed-step baseline
+spends), then certifies the point it reached by the paper's schedule, whose
+eigen steps are the private step that ``rtr_step`` takes once.
 
 All loops step on raw row arrays: one product ``A @ rows`` per step (per
-trial point in the warm start) gives the multiplier, gradient and objective
+trial point of a gradient step) gives the multiplier, gradient and objective
 through the same ``stiefel`` kernels the public objects use, in the same
 order, so the iterates are those of ``oc_gradient`` and ``oc_retract`` to
 the bit.  Every iterate, trial point and gradient still passes the point
@@ -129,10 +132,11 @@ class SolverOptions:
 class StepRecord:
     """One step of a trace.
 
-    ``step_size`` is the length moved along the step's unit direction: for a
-    gradient step the accepted length along grad / |grad|, at least the
-    paper's ||A||_2 / (20 ||A||_1); for an eigen step the schedule's size;
-    for a ``"pga"`` step the fixed step on the raw gradient.
+    ``step_size`` is the step's length: for a gradient or ``"pga"`` step
+    the length t along the raw gradient (so the row moves t |grad| along
+    the unit gradient; a gradient step's t is at least the floor of the
+    module docstring); for an eigen step the schedule's size along the unit
+    direction.
     """
 
     index: int
@@ -331,13 +335,15 @@ def random_start(A: SymmetricMatrix, k: int, seed, manifold: str = "sphere"):
     return _Geometry(A, k, manifold).random_point(seed)
 
 
-# Zhang & Hager (SIAM J. Optim. 2004): the reference value is the running
-# average C <- (eta Q C + f) / (eta Q + 1), and a trial point is accepted when
-# it rises rho * t |grad|^2 above C.
-_ZH_ETA = 0.85
-_ZH_RHO = 1e-4
-# Barzilai-Borwein steps are clamped to [_BB_MIN, _BB_MAX] / ||A||_1
-_BB_MIN, _BB_MAX = 1e-3, 1e3
+# The line-search policies (memory, rho) of ``_ascent``.  Zhang & Hager (SIAM
+# J. Optim. 2004) take the reference value C <- (memory Q C + f) / (memory Q + 1),
+# Q <- memory Q + 1, and accept a trial point that rises rho t |grad|^2 above
+# C; with memory 0 the reference is the current value, the monotone Armijo
+# test, and rho = 1/2 asks a longer step for the gain per length of the floor.
+_WARM = (0.85, 1e-4)
+_PAPER = (0.0, 0.5)
+# Barzilai-Borwein lengths are clamped above at _BB_MAX / ||A||_1
+_BB_MAX = 1e3
 
 
 def _bb_length(s: np.ndarray, y: np.ndarray, long: bool = True) -> float:
@@ -351,41 +357,47 @@ def _bb_length(s: np.ndarray, y: np.ndarray, long: bool = True) -> float:
     return num / den if den > 0.0 else math.inf
 
 
-def _bb_ascent(geom: _Geometry, state: _State, iters: int, grad_tol: float):
-    """Barzilai-Borwein gradient ascent with a nonmonotone Armijo test.
+def _ascent(geom: _Geometry, state: _State, grad_tol: float, memory: float, rho: float):
+    """Barzilai-Borwein gradient ascent on the raw gradient, until |grad| <= ``grad_tol``.
 
-    Returns ``(state, steps, trials)``: the final state, the accepted steps
-    (at most ``iters``; the loop stops once the gradient norm is at most
-    ``grad_tol``) and the trial points evaluated, one product each.
-
-    The first trial step is the fixed step 1/(4||A||_1) of the gradient-ascent
-    baseline; later ones alternate the Barzilai & Borwein (IMA J. Numer. Anal.
-    1988) lengths s's/|s'y| and |s'y|/y'y, with s the change of rows and
-    y = grad_old - grad_new, clamped as above (Wen & Yin, Math. Program. 2013,
-    run the same steps on the Stiefel manifold).  A trial point failing the
-    Zhang-Hager test halves the step; the lower clamp is taken as it stands,
-    so each step ends.  Every trial point goes through ``geom.advance`` and so
-    passes the point and tangent checks.  ``geom.l1`` must be positive.
+    Yields ``(state, t)`` for each accepted step; callers cap the count.  The
+    first trial length is 1/(4||A||_1); later ones alternate the Barzilai &
+    Borwein (IMA J. Numer. Anal. 1988) lengths s's/|s'y| and |s'y|/y'y, with s
+    the change of rows and y = grad_old - grad_new (Wen & Yin, Math. Program.
+    2013, run the same steps on the Stiefel manifold), clamped to
+    [t_f, _BB_MAX / ||A||_1] with the floor t_f of the module docstring.  A
+    trial point failing the test of the policy ``(memory, rho)`` (see
+    ``_WARM``) halves t, down to t_f, which is taken as it stands
+    (``worst_case_budget`` shows that it gains at least t_f |grad|^2 / 2).
+    Every trial point goes through ``geom.advance`` and so passes the point
+    and tangent checks.  ``geom.l1`` must be positive.
     """
-    lo, hi = _BB_MIN / geom.l1, _BB_MAX / geom.l1
-    t = 1.0 / (4.0 * geom.l1)
+    l1 = geom.l1
+    t, long = 1.0 / (4.0 * l1), True
     ref, q = state.objective, 1.0
-    steps = trials = 0
-    while steps < iters and state.grad_norm > grad_tol:
-        rise = _ZH_RHO * state.grad_norm**2
+    while state.grad_norm > grad_tol:
+        floor = min(1.0 / (4.42 * l1), 1.0 / (20.0 * state.grad_norm))
+        t = min(max(t, floor), _BB_MAX / l1)
+        rise = rho * state.grad_norm**2
         while True:
             trial = geom.advance(state, state.grad, t)
-            trials += 1
-            if trial.objective >= ref + t * rise or t <= lo:
+            if trial.objective >= ref + t * rise or t <= floor:
                 break
-            t = max(0.5 * t, lo)
-        steps += 1
-        t = min(max(_bb_length(trial.rows - state.rows, state.grad - trial.grad,
-                               long=steps % 2 == 1), lo), hi)
-        q_next = _ZH_ETA * q + 1.0
-        ref = (_ZH_ETA * q * ref + trial.objective) / q_next
-        q, state = q_next, trial
-    return state, steps, trials
+            t = max(0.5 * t, floor)
+        yield trial, t
+        t = _bb_length(trial.rows - state.rows, state.grad - trial.grad, long)
+        q_next = memory * q + 1.0
+        ref = (memory * q * ref + trial.objective) / q_next
+        q, state, long = q_next, trial, not long
+
+
+def _warm_ascent(geom: _Geometry, state: _State, grad_tol: float, iters: int):
+    """At most ``iters`` steps of the warm start's ``_ascent``; returns ``(state, steps)``."""
+    steps = 0
+    for steps, (state, _) in enumerate(
+            itertools.islice(_ascent(geom, state, grad_tol, *_WARM), iters), 1):
+        pass
+    return state, steps
 
 
 # the climb stops once the gradient norm is at most _CLIMB_RTOL ||A||_1
@@ -397,7 +409,7 @@ def _climb(A: SymmetricMatrix, k: int, manifold: str, start, seed, iters: int):
 
     The state at ``start``, or at the uniformly random point that is the
     first draw of ``seed``'s stream ``rng`` (drawn either way), then at most
-    ``iters`` steps of ``_bb_ascent`` toward gradient norm ``_CLIMB_RTOL``
+    ``iters`` steps of ``_warm_ascent`` toward gradient norm ``_CLIMB_RTOL``
     ||A||_1; a zero matrix is not climbed.
     """
     geom, rng = _Geometry(A, k, manifold), np.random.default_rng(seed)
@@ -405,7 +417,7 @@ def _climb(A: SymmetricMatrix, k: int, manifold: str, start, seed, iters: int):
     state = geom.evaluate(start if start is not None else drawn)
     steps = 0
     if geom.l1 > 0.0:
-        state, steps, _ = _bb_ascent(geom, state, iters, _CLIMB_RTOL * geom.l1)
+        state, steps = _warm_ascent(geom, state, _CLIMB_RTOL * geom.l1, iters)
     return geom, state, steps, rng
 
 
@@ -435,10 +447,15 @@ def worst_case_budget(A: SymmetricMatrix, epsilon: float, mode: str) -> int:
     eta = ||A||_2 / (20 ||A||_1) <= 1/20 gains at least eta |grad| / 2.  Along
     the retraction |f''(t)| <= ||A||_1 (4 + 8t + 8t^2) <= 4.42 ||A||_1 for
     t <= eta, so the quadratic loss is at most 2.21 eta^2 ||A||_1
-    <= 0.11 eta |grad|.  A longer gradient step of ``_step`` is accepted only
-    if it gains tau |grad| / 2 with tau >= eta (rho = 1/2), so every gradient
-    step gains at least ||A||_2^2 / (40 ||A||_1), and at most
-    40 ||A||_1 Rg / ||A||_2^2 of them fit in the range Rg <= 2n ||A||_2.
+    <= 0.11 eta |grad|.  A step of ``_ascent`` moves tau = t |grad| along the
+    unit gradient: one at its floor t_f = min(1/(4.42 ||A||_1), 1/(20 |grad|))
+    has tau <= 1/20 and tau |grad| <= |grad|^2 / (4.42 ||A||_1), so it loses at
+    most 2.21 ||A||_1 tau^2 <= tau |grad| / 2 and gains at least
+    t_f |grad|^2 / 2; in the paper's phase a longer one is accepted only if it
+    gains as much (rho = 1/2).  With |grad| > ||A||_2 and ||A||_2 <= ||A||_1
+    that is at least min(||A||_2^2 / (8.84 ||A||_1), ||A||_2 / 40)
+    >= ||A||_2^2 / (40 ||A||_1) per gradient step, the fixed step's gain, so
+    at most 40 ||A||_1 Rg / ||A||_2^2 of them fit in the range Rg <= 2n ||A||_2.
     """
     n = A.n
     l1 = A.l1_norm()
@@ -612,35 +629,18 @@ def direction_finding(A: SymmetricMatrix, config, mu_G: float, *,
 
 
 class _Step(NamedTuple):
-    kind: str  # "gradient" | "eigen" | "none" (certified twice: no movement)
+    kind: str  # "eigen" | "none" (certified twice: no movement)
     eta: float
     state: _State  # after the step; the unchanged state for "none"
     lam_h: float
     krylov_steps: int
     capped: bool
-    # gradient steps: the raw Barzilai-Borwein length s's/|s'y| of the step
-    length: float | None = None
     searches: int = 0  # curvature searches run
 
 
-# Armijo constant of the gradient branch: the paper's fixed step eta gains at
-# least eta |grad| / 2, so a longer trial must gain as much per unit length
-_GRAD_RHO = 0.5
-
-
 def _step(state: _State, geom: _Geometry, opts: SolverOptions, epsilon: float,
-          lam_prev: float | None, rng, length: float | None = None) -> _Step:
-    """One step of the schedule in the module docstring (``geom.l1`` must be positive).
-
-    A gradient step moves along u = grad / |grad|.  Its trial length is
-    tau = |grad| * ``length``, the previous gradient step's Barzilai-Borwein
-    length, or |grad| / (4 ||A||_1) when there is none (the first trial of
-    ``_bb_ascent``), clamped to [eta, |grad| _BB_MAX / ||A||_1] with the
-    paper's step eta = ||A||_2 / (20 ||A||_1).  A trial is accepted when it
-    gains at least tau |grad| / 2 (a monotone Armijo test); otherwise tau is
-    halved, down to eta, where the paper's step is taken as it stands.  So
-    every gradient step has tau >= eta and gains at least eta |grad| / 2,
-    the paper's lemma for the fixed step.
+          lam_prev: float | None, rng) -> _Step:
+    """One eigen step of the schedule in the module docstring (``geom.l1`` must be positive).
 
     A search that certifies curvature at most ``epsilon`` is retried once
     from a fresh start (a random start fails with small probability; the
@@ -648,23 +648,9 @@ def _step(state: _State, geom: _Geometry, opts: SolverOptions, epsilon: float,
     kind ``"none"`` with ``lam_h`` the larger bound.  Before the first eigen
     step of a solve (``lam_prev is None``) a certificate is the likely
     outcome, so the retry runs beside the search (``_eigen_direction`` with
-    ``pair``): both together take the products of one.
+    ``pair``): both together take the products of one.  Gradient steps are
+    ``_ascent``'s.
     """
-    l1 = geom.l1
-    if opts.mode == MODE_GRADIENT_EIGEN and state.grad_norm > geom.A.opnorm():
-        g = state.grad_norm
-        eta = geom.A.opnorm() / (20.0 * l1)
-        u = (1.0 / g) * state.grad
-        stiefel._check_tangent(u, state.rows, geom.d)
-        tau = g * length if length is not None else g / (4.0 * l1)
-        tau = min(max(tau, eta), g * _BB_MAX / l1)
-        while True:
-            trial = geom.advance(state, u, tau)
-            if tau <= eta or trial.objective >= state.objective + _GRAD_RHO * tau * g:
-                break
-            tau = max(0.5 * tau, eta)
-        return _Step("gradient", tau, trial, math.nan, 0, False,
-                     _bb_length(trial.rows - state.rows, state.grad - trial.grad))
     cap = opts.max_power_iters
     searches = _eigen_direction(state, geom, cap, epsilon, lam_prev, rng, pair=lam_prev is None)
     if searches[-1].certified and len(searches) == 1:
@@ -676,9 +662,9 @@ def _step(state: _State, geom: _Geometry, opts: SolverOptions, epsilon: float,
                      searches[0].capped, searches=len(searches))
     lam_h = search.lam_h
     if opts.mode == MODE_EIGEN_ONLY:
-        eta = lam_h / (100.0 * l1)
+        eta = lam_h / (100.0 * geom.l1)
     else:
-        eta = min(math.sqrt(lam_h / (216.0 * l1)), lam_h / (12.0 * geom.A.opnorm()))
+        eta = min(math.sqrt(lam_h / (216.0 * geom.l1)), lam_h / (12.0 * geom.A.opnorm()))
     return _Step("eigen", eta, geom.advance(state, search.u.rows, eta), lam_h, krylov_steps,
                  search.capped, searches=len(searches))
 
@@ -687,9 +673,9 @@ def rtr_step(A: SymmetricMatrix, config, opts: SolverOptions, *,
              rng=None, lam_prev: float | None = None):
     """One step of the trust-region schedule; returns (next_config, record).
 
-    A gradient step has no history here, so its trial length is the
-    |grad| / (4 ||A||_1) that a solve's first gradient step tries.  Without
-    ``rng`` it is the first step of ``solve(A, opts, sigma0=config)``.  A zero
+    A gradient step is the first step of the paper's ``_ascent`` from
+    ``config``, so its trial length is 1/(4 ||A||_1).  Without ``rng`` it is
+    the first step of ``solve(A, opts, sigma0=config)``.  A zero
     matrix, a trivial tangent space (d = k = 1), or curvature certified at or
     below the target by two Lanczos searches in a row, produces no movement
     (kind ``"none"``), as ``solve`` stops there.  A ``config`` of another
@@ -701,6 +687,9 @@ def rtr_step(A: SymmetricMatrix, config, opts: SolverOptions, *,
     if geom.l1 == 0.0 or geom.tangent_dim() == 0:
         return config, StepRecord(0, "none", 0.0, state.objective, state.grad_norm, 0.0)
     epsilon = opts.epsilon if opts.epsilon is not None else default_epsilon(A, opts.k, opts.manifold)
+    if opts.mode == MODE_GRADIENT_EIGEN and state.grad_norm > A.opnorm():
+        state, t = next(_ascent(geom, state, A.opnorm(), *_PAPER))
+        return state.config, StepRecord(0, "gradient", t, state.objective, state.grad_norm)
     step = _step(state, geom, opts, epsilon, lam_prev, rng)
     return step.state.config, StepRecord(0, step.kind, step.eta, step.state.objective,
                                          step.state.grad_norm, step.lam_h, step.krylov_steps)
@@ -716,13 +705,15 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None, *,
 
     The start is the first draw of ``opts.seed``'s stream even when ``sigma0``
     replaces it, so the searches draw the same Gaussians either way, none of
-    them the start's.  The climb is at most ``warm_iters`` steps of
-    ``_bb_ascent``, which stops once the gradient norm is at most
-    1e-3 ||A||_1 and draws nothing.  The loop terminates when the gradient
-    threshold is met (gradient-eigen mode) and a Lanczos certificate reports
-    top curvature at most epsilon twice in a row, or when the step budget is
-    exhausted.  ``converged`` is False then, and also when ``max_power_iters``
-    shortened the final certificate's step count (no exception either way).
+    them the start's.  The climb is at most ``warm_iters`` steps of the warm
+    start's ``_ascent``, which stops once the gradient norm is at most
+    1e-3 ||A||_1 and draws nothing.  In gradient-eigen mode, whenever the
+    gradient norm is above ||A||_2 the loop runs the paper's ``_ascent`` down
+    to it, one trace row and one step of the budget per accepted step.  The
+    loop terminates when a Lanczos certificate reports top curvature at most
+    epsilon twice in a row, or when the step budget is exhausted.
+    ``converged`` is False then, and also when ``max_power_iters`` shortened
+    the final certificate's step count (no exception either way).
     A start of another rank or block size than ``opts`` raises ValueError.
     """
     opts.validate()
@@ -736,13 +727,18 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None, *,
     trivial = geom.l1 == 0.0 or geom.tangent_dim() == 0
     budget = opts.max_iters if opts.max_iters is not None else worst_case_budget(A, epsilon, opts.mode)
     budget = 0 if trivial else budget
-    counts = {"gradient": 0, "eigen": 0}
-    krylov_steps = searches = 0
+    krylov_steps = searches = it = 0
     cap_hit, converged, cert = False, trivial, 0.0
     lam_prev: float | None = None
-    length: float | None = None  # of the last gradient step
-    for it in range(1, budget + 1):
-        step = _step(state, geom, opts, epsilon, lam_prev, rng, length)
+    while it < budget:
+        if opts.mode == MODE_GRADIENT_EIGEN and state.grad_norm > A.opnorm():
+            phase = _ascent(geom, state, A.opnorm(), *_PAPER)
+            for state, t in itertools.islice(phase, budget - it):
+                it += 1
+                trace.append(StepRecord(it, "gradient", t, state.objective, state.grad_norm))
+            continue
+        it += 1
+        step = _step(state, geom, opts, epsilon, lam_prev, rng)
         krylov_steps += step.krylov_steps
         searches += step.searches
         cap_hit = cap_hit or step.capped
@@ -751,12 +747,7 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None, *,
             # a shortened count certifies less than the analysis states
             converged = not step.capped
             break
-        state = step.state
-        counts[step.kind] += 1
-        if step.kind == "eigen":
-            lam_prev = step.lam_h
-        else:
-            length = step.length
+        state, lam_prev = step.state, step.lam_h
         trace.append(StepRecord(it, step.kind, step.eta, state.objective, state.grad_norm,
                                 step.lam_h, step.krylov_steps))
     else:
@@ -769,9 +760,10 @@ def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None, *,
             searches += 1
             cap_hit = cap_hit or search.capped
 
+    kinds = [rec.kind for rec in trace]
     return SolveReport(sigma=state.config, objective=state.objective, grad_norm=state.grad_norm,
                        curvature_cert=float(cert), converged=converged,
-                       gradient_steps=counts["gradient"], eigen_steps=counts["eigen"],
+                       gradient_steps=kinds.count("gradient"), eigen_steps=kinds.count("eigen"),
                        trace=trace, seed=opts.seed, epsilon=epsilon, mode=opts.mode,
                        manifold=geom.manifold, budget=budget, krylov_steps=krylov_steps,
                        cap_hit=cap_hit,
@@ -788,14 +780,20 @@ def projected_gradient_ascent(A: SymmetricMatrix, sigma0, step: float | None = N
     (unnormalized) gradient; the objective trace need not be monotone.  The
     default step is 1/(20 ||A||_1).  ``grad_tol`` adds an early exit; the
     report's ``converged`` flag reflects it when given.  A d > 1 start runs
-    on the Stiefel product, which needs ``A.block_dim == d``.
+    on the Stiefel product, which needs ``A.block_dim == d``.  A step that is
+    not positive and finite, a negative ``iters`` or a ``record_every`` below
+    1 raises ValueError.
     """
+    if iters < 0:
+        raise ValueError("iters must be >= 0")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     geom = _Geometry(A, sigma0.k, _manifold_of(sigma0))
     l1 = geom.l1
     if step is None:
         step = 1.0 / (20.0 * l1) if l1 > 0.0 else 0.0
-    elif step <= 0.0:
-        raise ValueError("step must be positive")
+    elif not (step > 0.0 and math.isfinite(step)):
+        raise ValueError("step must be positive and finite")
     state = geom.evaluate(sigma0)
     trace = [StepRecord(0, "init", 0.0, state.objective, state.grad_norm)]
     done = 0

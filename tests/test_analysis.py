@@ -194,13 +194,13 @@ class TestSdpBracket:
         from lowranksdp import analysis, solver
 
         calls = []
-        climb = solver._bb_ascent
+        climb = solver._warm_ascent
 
-        def recorded(geom, state, iters, grad_tol):
-            out = climb(geom, state, iters, grad_tol)
+        def recorded(geom, state, grad_tol, iters):
+            out = climb(geom, state, grad_tol, iters)
             calls.append((iters, grad_tol, out[1]))
             return out
-        monkeypatch.setattr(solver, "_bb_ascent", recorded)
+        monkeypatch.setattr(solver, "_warm_ascent", recorded)
         A = instances.goe(40, 2)
         l1 = A.l1_norm()
         first = estimate_sdp(A, seed=0, pga_iters=2000)

@@ -33,9 +33,16 @@ def ascent_ok(report, A):
 def warm_point(A, k, seed, manifold="sphere", iters=3000):
     """The start that ``seed`` draws, climbed as a solve's warm start climbs it."""
     geom = solver._Geometry(A, k, manifold)
-    state, _, _ = solver._bb_ascent(geom, geom.evaluate(geom.random_point(seed)), iters,
-                                    1e-3 * geom.l1)
+    state, _, _ = warm_climb(geom, geom.evaluate(geom.random_point(seed)), iters,
+                             1e-3 * geom.l1)
     return state.config
+
+
+def warm_climb(geom, state, iters, grad_tol):
+    """``solver._warm_ascent``'s ``(state, steps)`` and its trial points, one product each."""
+    before = geom.products
+    state, steps = solver._warm_ascent(geom, state, grad_tol, iters)
+    return state, steps, geom.products - before
 
 
 def counted(monkeypatch, owner, name):
@@ -448,8 +455,8 @@ class TestRtrStep:
         assert solve(A, opts, sigma0=cfg).converged
 
     def test_gradient_step_is_the_public_retraction(self):
-        # oc_retract(sigma, grad / |grad|, step_size) bit for bit, at an
-        # accepted length no shorter than the paper's ||A||_2 / (20 ||A||_1)
+        # oc_retract(sigma, grad, step_size) bit for bit, moving the row at
+        # least the paper's ||A||_2 / (20 ||A||_1) along the unit gradient
         for seed in range(4):
             A = instances.goe(100, seed)
             cfg = random_config(100, 3, 7 + seed)
@@ -457,9 +464,8 @@ class TestRtrStep:
             assert g.norm > A.opnorm()
             nxt, rec = rtr_step(A, cfg, SolverOptions(k=3, epsilon=1e-6))
             eta = A.opnorm() / (20.0 * A.l1_norm())
-            unit = stiefel.StiefelTangent((1.0 / g.norm) * g.rows, cfg)
-            expect = stiefel.oc_retract(cfg, unit, rec.step_size)
-            assert rec.kind == "gradient" and rec.step_size >= eta
+            expect = stiefel.oc_retract(cfg, g, rec.step_size)
+            assert rec.kind == "gradient" and rec.step_size * g.norm >= eta
             assert np.array_equal(nxt.rows, expect.rows)
             assert rec.objective == sphere.objective(A, expect)
             assert rec.grad_norm == sphere.gradient(A, expect).norm
@@ -483,9 +489,9 @@ class TestRtrStep:
         assert checked >= 4
 
     def test_cold_start_gradient_phase_converges(self):
-        # Barzilai-Borwein lengths floored at the paper's step: the gradient
-        # phase ends in a few dozen steps, each gaining at least the fixed
-        # step's mu_G^2 / (40 ||A||_1)
+        # Barzilai-Borwein lengths on the raw gradient, floored where the row
+        # moves at least the paper's step: the gradient phase ends in a few
+        # dozen steps, each gaining at least the fixed step's mu_G^2 / (40 ||A||_1)
         A = instances.goe(1000, 0)
         rep = solve(A, SolverOptions(k=6, seed=0))
         assert rep.converged  # within the default budget, worst_case_budget
@@ -495,7 +501,7 @@ class TestRtrStep:
         steps = [(a, b) for a, b in zip(rep.trace, rep.trace[1:]) if b.kind == "gradient"]
         assert len(steps) == rep.gradient_steps
         for before, rec in steps:
-            assert rec.step_size >= eta
+            assert rec.step_size * before.grad_norm >= eta
             assert rec.objective - before.objective >= bound
 
     def test_eigen_step_increment_mode_a(self):
@@ -746,6 +752,17 @@ class TestProjectedGradientAscent:
         with pytest.raises(ValueError):
             projected_gradient_ascent(A, random_config(10, 2, 0), step=-0.1)
 
+    # record_every=0 divided by zero, iters=-5 reported converged after no
+    # steps, and step=nan failed later as "blocks are not orthonormal"
+    @pytest.mark.parametrize("kwargs, match", [({"record_every": 0}, "record_every"),
+                                               ({"iters": -5}, "iters"),
+                                               ({"step": math.nan}, "step")],
+                             ids=["record_every", "iters", "step"])
+    def test_malformed_argument_raises(self, kwargs, match):
+        A = instances.goe(10, 0)
+        with pytest.raises(ValueError, match=match):
+            projected_gradient_ascent(A, random_config(10, 2, 0), **kwargs)
+
     @pytest.mark.parametrize("d, k", [(1, 3), (3, 4)])
     def test_bitwise_equals_object_loop(self, d, k):
         # the raw-row loop runs the public objects' arithmetic in their order
@@ -784,7 +801,7 @@ class TestWarmStart:
         state = geom.evaluate(start)
         points = counted(monkeypatch, stiefel, "_check_point")
         tangents = counted(monkeypatch, stiefel, "_check_tangent")
-        state, steps, trials = solver._bb_ascent(geom, state, 3000, 1e-3 * geom.l1)
+        state, steps, trials = warm_climb(geom, state, 3000, 1e-3 * geom.l1)
         assert 0 < steps <= trials
         assert points[0] == trials and tangents[0] == trials
         assert products[0] == trials + 1
@@ -794,7 +811,7 @@ class TestWarmStart:
         A = instances.goe(60, 3)
         geom = solver._Geometry(A, 4, "sphere")
         state = geom.evaluate(geom.random_point(5))
-        _, steps, trials = solver._bb_ascent(geom, state, 7, 0.0)
+        _, steps, trials = warm_climb(geom, state, 7, 0.0)
         assert steps == 7 and trials >= 7
 
     @pytest.mark.parametrize("manifold", ["sphere", "stiefel"])
@@ -827,7 +844,7 @@ class TestWarmStart:
         geom = solver._Geometry(A, k, manifold)
         iters, tol = 3000, 1e-3 * geom.l1
         for seed in range(2):
-            state, steps, trials = solver._bb_ascent(
+            state, steps, trials = warm_climb(
                 geom, geom.evaluate(geom.random_point(seed)), iters, tol)
             assert state.grad_norm <= tol and steps < iters / 10
             rep = solve(A, SolverOptions(k=k, manifold=manifold, seed=seed),
@@ -862,7 +879,7 @@ class TestWarmStart:
         folded = solve(A, opts, sigma0=start, warm_iters=3000)
         folded_products = products[0]
         geom = solver._Geometry(A, 6, manifold)
-        state, steps, _ = solver._bb_ascent(geom, geom.evaluate(start), 3000, 1e-3 * geom.l1)
+        state, steps, _ = warm_climb(geom, geom.evaluate(start), 3000, 1e-3 * geom.l1)
         apart = solve(A, opts, sigma0=state.config)
         assert folded.warm_steps == steps > 0 and apart.warm_steps == 0
         assert np.array_equal(folded.sigma.rows, apart.sigma.rows)
@@ -876,6 +893,74 @@ class TestWarmStart:
     def test_negative_warm_iters_raises(self):
         with pytest.raises(ValueError, match="warm_iters"):
             solve(instances.goe(20, 1), SolverOptions(k=3), warm_iters=-1)
+
+
+class TestOneRoutine:
+    """The warm start and the paper's gradient phase climb through one ``_ascent``."""
+
+    @pytest.mark.parametrize("policy", ["_WARM", "_PAPER"])
+    @pytest.mark.parametrize("d, k", [(1, 4), (3, 6)])
+    def test_a_step_at_the_floor_gains_what_the_budget_counts(self, monkeypatch, d, k,
+                                                              policy):
+        # no Barzilai-Borwein length: every trial after the first is the floor
+        A = instances.goe(90, 2)
+        if d > 1:
+            A = A.with_block_dim(d)
+        monkeypatch.setattr(solver, "_bb_length", lambda *args, **kwargs: 0.0)
+        geom = solver._Geometry(A, k, "sphere" if d == 1 else "stiefel")
+        state = geom.evaluate(geom.random_point(3))
+        l1, l2 = geom.l1, A.opnorm()
+        memory, rho = getattr(solver, policy)
+        steps = list(itertools.islice(solver._ascent(geom, state, 0.0, memory, rho), 60))
+        assert len(steps) == 60
+        befores = [state] + [after for after, _ in steps[:-1]]
+        above = 0
+        for i, (before, (after, t)) in enumerate(zip(befores, steps)):
+            g = before.grad_norm
+            floor = min(1.0 / (4.42 * l1), 1.0 / (20.0 * g))
+            assert t == floor or i == 0
+            if t == floor or policy == "_PAPER":
+                assert after.objective - before.objective >= t * g**2 / 2
+            if t == floor and g > l2:
+                assert after.objective - before.objective >= l2**2 / (40.0 * l1)
+                above += 1
+        assert above >= 1
+
+    def test_a_short_warm_start_hands_over_to_the_monotone_phase(self):
+        A = instances.goe(200, 0)
+        rep = solve(A, SolverOptions(k=4, seed=0), warm_iters=5)
+        assert rep.warm_steps == 5 and rep.trace[0].grad_norm > A.opnorm()
+        steps = [(a, b) for a, b in zip(rep.trace, rep.trace[1:]) if b.kind == "gradient"]
+        assert len(steps) == rep.gradient_steps > 0
+        assert all(b.objective >= a.objective for a, b in steps)
+        assert rep.converged
+
+    def test_every_gradient_step_is_an_ascent_step(self, monkeypatch):
+        from lowranksdp.analysis import estimate_sdp
+
+        calls = []
+        ascent = solver._ascent
+
+        def spy(geom, state, grad_tol, memory, rho):
+            # one entry per step taken, with the policy it was taken under
+            for step in ascent(geom, state, grad_tol, memory, rho):
+                calls.append((memory, rho))
+                yield step
+
+        monkeypatch.setattr(solver, "_ascent", spy)
+        A = instances.goe(60, 3)
+        cold = solve(A, SolverOptions(k=3, seed=1))
+        assert cold.gradient_steps > 0 and calls == [solver._PAPER] * cold.gradient_steps
+        calls.clear()
+        warm = solve(A, SolverOptions(k=3, seed=1), warm_iters=3000)
+        assert calls == [solver._WARM] * warm.warm_steps + [solver._PAPER] * warm.gradient_steps
+        assert warm.warm_steps > 0
+        calls.clear()
+        _, rec = rtr_step(A, random_config(60, 3, 7), SolverOptions(k=3, seed=1))
+        assert rec.kind == "gradient" and calls == [solver._PAPER]
+        calls.clear()
+        estimate_sdp(A, seed=0)
+        assert calls and set(calls) == {solver._WARM}
 
 
 def report_fields(rep):
