@@ -60,10 +60,9 @@ def _blocks(rows: np.ndarray, m: int, d: int) -> np.ndarray:
 
 # -- the point and tangent checks ------------------------------------------------
 #
-# Both run on every iterate and every gradient of the solver's loops as well
-# as in the constructors, so they sum along rows with one BLAS product
-# instead of numpy's slow short-axis reductions.  Only the checks do: the
-# values the solver computes keep their own kernels, bit for bit.
+# Both run in the constructors, and so on every point and tangent a solve
+# builds: they sum along rows with one BLAS product instead of numpy's slow
+# short-axis reductions, which moves no value the solver computes.
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -287,10 +286,9 @@ class OcHessianOperator:
     @classmethod
     def _at(cls, A: SymmetricMatrix, config: StiefelConfig, asig: np.ndarray,
             lam: np.ndarray) -> "OcHessianOperator":
-        """The operator at ``config`` from its product A sigma and multiplier
-        Lambda, already computed from ``config.rows``; takes no product."""
+        """The operator at ``config`` from its product A sigma and multiplier Lambda,
+        computed from ``config.rows`` by a solve that checked A; takes no product."""
         op = cls.__new__(cls)
-        op._check(A, config)
         op.A, op.config, op._asig, op._lam = A, config, asig, lam
         return op
 

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from lowranksdp import instances, solver, sphere, stiefel, symmat
+from lowranksdp.analysis import estimate_sdp
 from lowranksdp.solver import (
     MODE_EIGEN_ONLY,
     MODE_GRADIENT_EIGEN,
@@ -83,6 +84,14 @@ class TestDirectionFinding:
             u, kind, _ = direction_finding(A, cfg, mu_G=math.inf, epsilon=0.5, seed=seed)
             assert kind == "eigen"
             assert float(np.sum(u.rows * g.rows)) >= 0.0
+
+    # past the gradient branch 0, -1 and nan divided by zero in the Lanczos step
+    # count, and inf certified every point
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+    def test_epsilon_not_positive_and_finite_raises(self, epsilon):
+        A = instances.goe(20, 0)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            direction_finding(A, random_config(20, 3, 1), mu_G=math.inf, epsilon=epsilon)
 
     def test_eigen_direction_beats_half_lambda_max(self):
         # dense tangent-space eigendecomposition as the quality oracle
@@ -718,6 +727,18 @@ class TestDefaults:
         assert worst_case_budget(A, 1.0, MODE_EIGEN_ONLY) >= 1
         assert worst_case_budget(A, 1.0, MODE_GRADIENT_EIGEN) >= 1
 
+    # epsilon = 1e-160 overflowed the count (math.ceil(inf)), 1e-200 squared to
+    # zero under a division, and the default epsilon at scale 1e153 overflowed too
+    @pytest.mark.parametrize("mode", [MODE_EIGEN_ONLY, MODE_GRADIENT_EIGEN])
+    def test_budget_caps_instead_of_raising(self, mode):
+        A = instances.goe(30, 0)
+        for epsilon in (1e-160, 1e-200):
+            assert worst_case_budget(A, epsilon, mode) == solver._BUDGET_CAP
+        big = SymmetricMatrix(A.to_dense() * 1e153)
+        # every term is a ratio of scales, so the default target's count does not move
+        assert (worst_case_budget(big, default_epsilon(big, 4), mode)
+                == worst_case_budget(A, default_epsilon(A, 4), mode) < solver._BUDGET_CAP)
+
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(k=0).validate()
@@ -727,6 +748,13 @@ class TestDefaults:
             SolverOptions(k=2, epsilon=-1.0).validate()
         with pytest.raises(ValueError):
             SolverOptions(k=2, max_power_iters=0).validate()
+
+    # an infinite target was certified at once: converged=True on a vacuous claim
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_epsilon_not_finite_raises(self, epsilon):
+        opts = SolverOptions(k=4, epsilon=epsilon, max_iters=50)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            solve(instances.goe(30, 0), opts)
 
 
 class TestProjectedGradientAscent:
@@ -790,7 +818,7 @@ class TestWarmStart:
     """The Barzilai-Borwein ascent that ``solve`` runs before it certifies."""
 
     @pytest.mark.parametrize("d, k", [(1, 4), (3, 6)])
-    def test_every_trial_point_is_checked(self, monkeypatch, d, k):
+    def test_trial_points_are_unchecked_and_the_boundary_is_checked(self, monkeypatch, d, k):
         A = instances.goe(60, 3)
         manifold = "sphere" if d == 1 else "stiefel"
         if d > 1:
@@ -799,13 +827,36 @@ class TestWarmStart:
         start = geom.random_point(5)
         products = counted(monkeypatch, SymmetricMatrix, "dot")
         state = geom.evaluate(start)
-        points = counted(monkeypatch, stiefel, "_check_point")
+        points, check_point = [], stiefel._check_point
+
+        def spy(rows, d):
+            points.append(rows.tobytes())
+            check_point(rows, d)
+
+        monkeypatch.setattr(stiefel, "_check_point", spy)
         tangents = counted(monkeypatch, stiefel, "_check_tangent")
         state, steps, trials = warm_climb(geom, state, 3000, 1e-3 * geom.l1)
-        assert 0 < steps <= trials
-        assert points[0] == trials and tangents[0] == trials
-        assert products[0] == trials + 1
+        assert 0 < steps <= trials and products[0] == trials + 1
         assert state.grad_norm <= 1e-3 * geom.l1
+        assert points == [] and tangents[0] == 0
+        # a solve checks its start, the state each curvature search reads (each
+        # eigen step's and the last) and the report's point, and no other point
+        searched, search = [], solver._eigen_direction
+
+        def search_spy(state, *args, **kwargs):
+            searched.append(state.rows.tobytes())
+            return search(state, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_eigen_direction", search_spy)
+        opts = SolverOptions(k=k, manifold=manifold, epsilon=1e-6, max_iters=3, seed=5)
+        rep = solve(A, opts, warm_iters=3000)
+        assert rep.eigen_steps > 0 and len(set(searched)) == rep.eigen_steps + 1
+        assert points[0] == start.rows.tobytes() and points[1:] == list(dict.fromkeys(searched))
+        assert points[-1] == rep.sigma.rows.tobytes()
+        # the baseline checks only the point it reports
+        points.clear()
+        fixed = projected_gradient_ascent(A, start, iters=50)
+        assert points == [fixed.sigma.rows.tobytes()]
 
     def test_iters_caps_accepted_steps(self):
         A = instances.goe(60, 3)
@@ -936,8 +987,6 @@ class TestOneRoutine:
         assert rep.converged
 
     def test_every_gradient_step_is_an_ascent_step(self, monkeypatch):
-        from lowranksdp.analysis import estimate_sdp
-
         calls = []
         ascent = solver._ascent
 
@@ -1045,6 +1094,51 @@ class TestStartCheck:
         A = instances.goe(60, 1).with_block_dim(3)
         with pytest.raises(ValueError, match="start has k = 6, d = 1; .* d = 3"):
             _ENTRIES[entry](A, SolverOptions(k=6, manifold="stiefel"), random_config(60, 6, 0))
+
+
+def _scaled_goe(scale, tmp_path):
+    return SymmetricMatrix(instances.goe(30, 0).to_dense() * scale)
+
+
+def _goe_file_at_1e308(tmp_path):
+    # goe(30, 0)'s entries are below 1 in magnitude, so each written value is finite
+    dense, path = instances.goe(30, 0).to_dense(), tmp_path / "big.symmat"
+    lines = [f"{i} {j} {dense[i, j] * 1e308:.17g}" for i in range(30) for j in range(i, 30)]
+    path.write_text("symmat n 30\n" + "\n".join(lines) + "\n")
+    return symmat.load_symmat(path)
+
+
+_HUGE = {"1e160": functools.partial(_scaled_goe, 1e160),
+         "1e300": functools.partial(_scaled_goe, 1e300),
+         "file-1e308": _goe_file_at_1e308}
+_CAPPED_RUNS = {
+    "solve": lambda A, start: solve(A, SolverOptions(k=4, max_iters=50), warm_iters=50),
+    "rtr_step": lambda A, start: rtr_step(A, start, SolverOptions(k=4, max_iters=50)),
+    "estimate_sdp": lambda A, start: estimate_sdp(A, pga_iters=50),
+    "direction_finding": lambda A, start: direction_finding(A, start, mu_G=math.inf,
+                                                            epsilon=1.0),
+    "projected_gradient_ascent": lambda A, start: projected_gradient_ascent(A, start, iters=50),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestOverflow:
+    """Finite entries whose products overflow stop every entry point at its first state.
+
+    At 1e160 the gradient norm overflowed, so the ascent's floor 1/(20 |grad|)
+    was 0 and the warm start spun on trial steps that every point check passed.
+    """
+
+    @pytest.mark.parametrize("entry", sorted(_CAPPED_RUNS))
+    @pytest.mark.parametrize("matrix", sorted(_HUGE))
+    def test_raises_at_the_first_state(self, monkeypatch, tmp_path, matrix, entry):
+        A = _HUGE[matrix](tmp_path)
+        start = solver.random_start(A, 4, 0)
+        products = counted(monkeypatch, SymmetricMatrix, "dot")
+        with pytest.raises(ValueError, match="the objective or the gradient norm is not finite"):
+            _CAPPED_RUNS[entry](A, start)
+        assert products[0] == 1
 
 
 class TestProducts:
