@@ -7,7 +7,8 @@ re-derived by re-running its command.  Input instance files are never
 mutated.
 
 Exit codes: 0 on success, 2 on usage errors (a count whose arrays numpy
-cannot allocate included), 3 on non-convergence under ``--strict``.
+cannot allocate and a matrix whose products overflow included), 3 on
+non-convergence under ``--strict``.
 """
 
 from __future__ import annotations
@@ -483,8 +484,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # a MemoryError is numpy refusing an array that a count (--n, --k,
-    # --samples) asks for: the count is out of range, as gen reports it
-    except (_UsageError, MemoryError) as exc:
+    # --samples) asks for: the count is out of range, as gen reports it; a
+    # NonFiniteError is a matrix whose products overflow, the input's fault
+    except (_UsageError, MemoryError, solver.NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

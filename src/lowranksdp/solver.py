@@ -53,7 +53,8 @@ through the same ``stiefel`` kernels the public objects use, in the same
 order, so the iterates are those of ``oc_gradient`` and ``oc_retract`` to
 the bit.  Only the start, each state a curvature search reads and the
 report's point pass the point check of ``StiefelConfig``; in the loops every
-state raises ValueError if its objective or gradient norm is not finite.
+state raises ``NonFiniteError``, a ValueError, if its objective or gradient
+norm is not finite.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ __all__ = [
     "solve",
     "projected_gradient_ascent",
     "random_start",
+    "NonFiniteError",
 ]
 
 MODE_EIGEN_ONLY = "eigen-only"
@@ -220,6 +222,11 @@ class SolveReport:
 # -- geometry -------------------------------------------------------------------
 
 
+class NonFiniteError(ValueError):
+    """An iterate whose objective or gradient norm is not finite: the matrix's
+    products overflow floating point."""
+
+
 class _State:
     """One iterate on raw rows, from one product ``A @ rows``.
 
@@ -232,10 +239,12 @@ class _State:
 
     def __init__(self, geom, rows, asig, lam, grad, config=None):
         self.geom, self.rows, self.asig, self.lam, self.grad = geom, rows, asig, lam, grad
-        self.grad_norm = float(np.linalg.norm(grad))
+        with np.errstate(over="ignore"):  # an overflow is the NonFiniteError below
+            self.grad_norm = float(np.linalg.norm(grad))
         self.objective = stiefel._objective(lam, geom.d)
         if not (math.isfinite(self.objective) and math.isfinite(self.grad_norm)):
-            raise ValueError("the objective or the gradient norm is not finite")
+            raise NonFiniteError("the objective or the gradient norm is not finite: "
+                                 "the matrix's products overflow")
         self._config, self._hess = config, None
 
     @property
@@ -351,8 +360,9 @@ def _bb_length(s: np.ndarray, y: np.ndarray, long: bool = True) -> float:
     ``s`` is the change of rows and ``y = grad_old - grad_new``; a zero
     denominator gives infinity, which the caller's upper clamp takes.
     """
-    sy = abs(float(np.sum(s * y)))
-    num, den = (float(np.sum(s * s)), sy) if long else (sy, float(np.sum(y * y)))
+    s, y = s.ravel(), y.ravel()
+    sy = abs(float(s @ y))
+    num, den = (float(s @ s), sy) if long else (sy, float(y @ y))
     return num / den if den > 0.0 else math.inf
 
 

@@ -50,8 +50,26 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+# The d = 1 kernels of every step.  numpy reduces and broadcasts along a short
+# axis (k entries) slowly, so row norms are one row-dot and a per-row factor is
+# spread into a fresh n x k array; each kernel then works in place in a buffer
+# it made, never in an argument's (points, products and gradients are shared
+# by later states and Hessian operators).
+
+
+def _spread(v: np.ndarray, k: int) -> np.ndarray:
+    """The fresh n x k array whose i-th row is k copies of v[i]: ``v[:, None]``, spread."""
+    return v.repeat(k).reshape(len(v), k)
+
+
+def _normalize(x: np.ndarray) -> np.ndarray:
+    """Divide each row of ``x`` by its norm, in place; returns ``x``."""
+    x /= _spread(np.sqrt(row_dots(x, x)), x.shape[1])
+    return x
+
+
 def normalize_rows(rows: np.ndarray) -> np.ndarray:
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    return _normalize(np.array(rows, dtype=float))
 
 
 def _blocks(rows: np.ndarray, m: int, d: int) -> np.ndarray:
@@ -60,9 +78,10 @@ def _blocks(rows: np.ndarray, m: int, d: int) -> np.ndarray:
 
 # -- the point and tangent checks ------------------------------------------------
 #
-# Both run in the constructors, and so on every point and tangent a solve
-# builds: they sum along rows with one BLAS product instead of numpy's slow
-# short-axis reductions, which moves no value the solver computes.
+# Both run in the constructors, at the API boundary: a solve builds a checked
+# point only for its start, each state a curvature search reads and the
+# report's point, and its loops step on raw rows unchecked.  They sum along
+# rows with one BLAS product instead of numpy's slow short-axis reductions.
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -176,7 +195,8 @@ class StiefelTangent:
 def project_rows(config: StiefelConfig, v: np.ndarray) -> np.ndarray:
     """Blockwise projection v_i - sym(v_i R_i^T) R_i onto the tangent space."""
     if config.d == 1:
-        return v - row_dots(config.rows, v)[:, None] * config.rows
+        out = _lam_times(row_dots(config.rows, v), config.rows, 1)
+        return np.subtract(v, out, out=out)
     m, d = config.m, config.d
     vb = _blocks(np.asarray(v, dtype=float), m, d)
     rb = config.blocks()
@@ -213,9 +233,10 @@ def oc_retract(config: StiefelConfig, u: StiefelTangent, t: float) -> StiefelCon
 
 def _retract_rows(rows: np.ndarray, u_rows: np.ndarray, t: float, d: int) -> np.ndarray:
     """The retraction of ``oc_retract`` on raw rows; the result is not checked."""
-    moved = rows + float(t) * u_rows
+    moved = u_rows * float(t)
+    moved += rows
     if d == 1:
-        return normalize_rows(moved)
+        return _normalize(moved)
     w, s, vt = np.linalg.svd(_blocks(moved, rows.shape[0] // d, d), full_matrices=False)
     if s.min() < _MIN_SINGULAR:
         raise ValueError("retraction undefined: rank-deficient block")
@@ -247,8 +268,11 @@ def _multiplier(rows: np.ndarray, asig: np.ndarray, d: int) -> np.ndarray:
 
 
 def _lam_times(lam: np.ndarray, rows: np.ndarray, d: int) -> np.ndarray:
+    """Lambda sigma, blockwise, as a fresh array."""
     if d == 1:
-        return lam[:, None] * rows
+        out = _spread(lam, rows.shape[1])
+        out *= rows
+        return out
     return np.einsum("bij,bjk->bik", lam, _blocks(rows, len(lam), d)).reshape(rows.shape)
 
 
@@ -260,8 +284,14 @@ def _objective(lam: np.ndarray, d: int) -> float:
 
 
 def _gradient_rows(rows: np.ndarray, asig: np.ndarray, lam: np.ndarray, d: int) -> np.ndarray:
-    """Riemannian gradient 2(A - Lambda) sigma; the result is not checked."""
-    return 2.0 * (asig - _lam_times(lam, rows, d))
+    """Riemannian gradient 2(A - Lambda) sigma; the result is not checked.
+
+    The same formula 2(A u - Lambda u) is the Hessian's before its projection.
+    """
+    out = _lam_times(lam, rows, d)
+    np.subtract(asig, out, out=out)
+    out *= 2.0
+    return out
 
 
 class OcHessianOperator:
@@ -328,8 +358,8 @@ class OcHessianOperator:
     def _apply_product(self, u_rows: np.ndarray, au_rows: np.ndarray) -> np.ndarray:
         """The action of ``apply_rows`` from the product ``au_rows = A @ u_rows``,
         already computed; takes no product."""
-        w = 2.0 * (au_rows - _lam_times(self._lam, u_rows, self.config.d))
-        return project_rows(self.config, w)
+        return project_rows(self.config,
+                            _gradient_rows(u_rows, au_rows, self._lam, self.config.d))
 
     def rayleigh(self, u: StiefelTangent) -> float:
         """<u, Hess[u]> / <u, u> via the 2<u, (A - Lambda)u> identity."""
@@ -411,7 +441,7 @@ def write_config(config: StiefelConfig, path, kind: str | None = None) -> None:
     kind = kind or ("config" if config.d == 1 else "occonfig")
     dims = {"n": config.n, "m": config.m, "d": config.d, "k": config.k}
     header = " ".join([kind] + [f"{key} {dims[key]}" for key in _HEADERS[kind]])
-    _write_lines(path, header, " ".join(["{:.17g}"] * config.k) + "\n", config.rows.T)
+    _write_lines(path, header, " ".join(["%.17g"] * config.k) + "\n", config.rows.T)
 
 
 def read_config(path, kinds=("config", "occonfig")) -> StiefelConfig:

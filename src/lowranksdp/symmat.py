@@ -195,7 +195,8 @@ class SymmetricMatrix:
                              % (self.n, self.n, x.shape[0]))
         y = self._core @ x
         if self._shift != 0.0:
-            y = y + self._shift * x.sum(axis=0)
+            # column sums by one BLAS product: numpy's x.sum(axis=0) is slow on n x k
+            y += self._shift * (np.ones(self.n) @ x)
         return y
 
     def l1_norm(self) -> float:
@@ -277,7 +278,8 @@ def opnorm_estimate(A: SymmetricMatrix, rel_tol: float = 1e-3,
     for it, (alpha, beta, _) in enumerate(itertools.islice(run, min(max_iters, A.n)), 1):
         closed = len(beta[0]) < it or it == A.n
         if converged is None:
-            new_est = float(np.abs(np.linalg.eigvalsh(_tridiagonal(alpha[0], beta[0]))).max())
+            lo, hi = _ritz_range(alpha[0], beta[0])
+            new_est = max(-lo, hi)
             if abs(new_est - est) <= rel_tol * max(new_est, 1e-300):
                 streak += 1
             else:
@@ -287,12 +289,12 @@ def opnorm_estimate(A: SymmetricMatrix, rel_tol: float = 1e-3,
                 converged = True
         if converged and (it >= fixed or closed):
             break
-    theta = np.linalg.eigvalsh(_tridiagonal(alpha[0], beta[0]))
+    lo, hi = _ritz_range(alpha[0], beta[0])
     if closed:
-        upper = max(-theta[0], theta[-1])
+        upper = max(-lo, hi)
     else:
         e = _kw_accuracy(fixed, A.n, math.log(2 * A.n))
-        upper = l1 if e >= 1.0 else (max(l1 - theta[0], l1 + theta[-1]) / (1.0 - e) - l1)
+        upper = l1 if e >= 1.0 else (max(l1 - lo, l1 + hi) / (1.0 - e) - l1)
     return OpnormEstimate(est, bool(converged), it,
                           min(float(upper) + _BOUND_ROUNDOFF * l1, l1))
 
@@ -355,6 +357,27 @@ def _kw_accuracy(steps: int, dim: int, log_inv_fail: float) -> float:
     return (log_ratio / (2.0 * steps - 1.0)) ** 2
 
 
+def _ritz_range(alpha, beta) -> tuple[float, float]:
+    """The smallest and largest Ritz values of one recurrence of ``_lanczos``.
+
+    Each is one LAPACK bisection on the tridiagonal (``dstebz``, the routine
+    of ``scipy.linalg.eigvalsh_tridiagonal``, without its per-call checks,
+    which cost more than the whole solve below 30 steps): O(m) for m steps,
+    where a dense solve of ``_tridiagonal`` costs O(m^3).
+    """
+    # imported here: scipy.linalg adds about 60 ms to the import of the package,
+    # which commands that run no Lanczos recurrence (gen) need not pay
+    from scipy.linalg.lapack import dstebz
+
+    if len(alpha) == 1:
+        return alpha[0], alpha[0]
+    a, b = np.array(alpha), np.array(beta[:len(alpha) - 1])
+    ends = [dstebz(a, b, 2, 0.0, 0.0, i, i, 0.0, "E") for i in (1, len(a))]
+    if any(info for *_, info in ends):
+        raise np.linalg.LinAlgError("bisection on the Lanczos tridiagonal failed")
+    return float(ends[0][1][0]), float(ends[1][1][0])
+
+
 def _tridiagonal(alpha, beta) -> np.ndarray:
     """The dense tridiagonal matrix of one recurrence of ``_lanczos``."""
     a, b = np.array(alpha), np.array(beta[:len(alpha) - 1])
@@ -375,16 +398,20 @@ _MAX_N = math.isqrt(np.iinfo(np.int64).max)
 
 
 def _write_lines(path, header: str, fmt: str, columns) -> None:
-    """Write ``header``, then ``fmt.format(*row)`` for each row of the equal-length ``columns``.
+    """Write ``header``, then ``fmt % row`` for each row of the equal-length ``columns``.
 
-    Rows are formatted ``_CHUNK_ROWS`` at a time, so the text in memory stays
-    small however long the file is.
+    Rows are formatted ``_CHUNK_ROWS`` at a time, one ``%`` call per chunk, so
+    the text in memory stays small however long the file is.
     """
+    width = len(columns)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            chunk = (col[start:start + _CHUNK_ROWS].tolist() for col in columns)
-            fh.writelines(map(fmt.format, *chunk))
+            chunk = [col[start:start + _CHUNK_ROWS].tolist() for col in columns]
+            values = [None] * (width * len(chunk[0]))
+            for c, col in enumerate(chunk):
+                values[c::width] = col
+            fh.write(fmt * len(chunk[0]) % tuple(values))
 
 
 def save_symmat(A: SymmetricMatrix, path) -> None:
@@ -401,7 +428,7 @@ def save_symmat(A: SymmetricMatrix, path) -> None:
     upper = sp.triu(A._core, format="csr").sorted_indices()
     iu = np.repeat(np.arange(A.n), np.diff(upper.indptr))
     keep = upper.data != 0.0
-    _write_lines(path, header, "{} {} {:.17g}\n",
+    _write_lines(path, header, "%d %d %.17g\n",
                  (iu[keep], upper.indices[keep], upper.data[keep]))
 
 

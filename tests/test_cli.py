@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import oracles
 from lowranksdp import analysis, cli, instances, solver, sphere, stiefel
 from lowranksdp.cli import main
-from lowranksdp.symmat import load_symmat, save_symmat
+from lowranksdp.symmat import SymmetricMatrix, load_symmat, save_symmat
 
 
 def run(argv):
@@ -280,6 +281,51 @@ class TestSweeps:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert rows and "False" in [row["converged"] for row in rows]
+
+
+def _overflowing(A):
+    """``A`` scaled by 1e200: its entries are finite, the squares of its products are not."""
+    return SymmetricMatrix(A.to_dense() * 1e200, block_dim=A.block_dim)
+
+
+class TestOverflowingMatrix:
+    """A matrix whose products overflow is a one-line usage error, not a traceback."""
+
+    @staticmethod
+    def _assert_usage_error(argv, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: the objective or the gradient norm is not finite")
+
+    @pytest.mark.parametrize("mode", ["rtr-b", "rtr-a", "pga"])
+    def test_solve(self, tmp_path, capsys, mode):
+        mat = tmp_path / "big.symmat"
+        save_symmat(_overflowing(instances.goe(30, 0)), mat)
+        self._assert_usage_error(["solve", "--in", mat, "--k", 4, "--mode", mode], capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["z2sync", "--n", 30, "--k", 3, "--lam-grid", "1.5"],
+        ["sbm", "--n", 30, "--k", 3, "--ab", "12,4"],
+        ["maxcut", "--n", 30, "--d", 6, "--k-grid", "3"],
+        ["ocsdp", "--n", 30, "--d", 3, "--k-grid", "6"],
+    ])
+    @pytest.mark.parametrize("solver_flag", ["rtr-b", "pga"])
+    def test_sweeps(self, tmp_path, capsys, monkeypatch, argv, solver_flag):
+        def scaled(make):
+            def made(*args):
+                out = make(*args)
+                if isinstance(out, instances.Instance):
+                    return dataclasses.replace(out, A=_overflowing(out.A))
+                return _overflowing(out)
+            return made
+
+        for name in ("spiked", "sbm", "erdos_renyi", "goe"):
+            monkeypatch.setattr(instances, name, scaled(getattr(instances, name)))
+        out = tmp_path / "out.csv"
+        self._assert_usage_error(argv + ["--seeds", "0", "--solver", solver_flag,
+                                         "--out", out], capsys)
+        assert not out.exists()
 
 
 class TestUsageErrors:

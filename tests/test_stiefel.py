@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from lowranksdp import instances, sphere
+from lowranksdp import instances, sphere, stiefel
 from lowranksdp.stiefel import (
+    ROW_TOL,
     OcHessianOperator,
     StiefelConfig,
     StiefelTangent,
@@ -163,6 +164,43 @@ class TestRetraction:
         for _ in range(50):
             q = oc_random_config(2, 2, 3, rng).blocks()
             assert np.einsum("bik,bik->", q, moved) <= got + 1e-9
+
+
+class TestLeanKernels:
+    """The step kernels work in buffers they make: a point, its product and its
+    gradient are shared by later states and Hessian operators, so no kernel
+    may write into an argument or hand one back."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_no_argument_is_written_or_returned(self, d):
+        A = block_goe(36, d, 0)
+        cfg = oc_random_config(36 // d, d, 5, 1)
+        # writable copies, so that a write would land instead of raising
+        rows, u = np.array(cfg.rows), np.array(oc_random_tangent(cfg, 2).rows)
+        asig = A.dot(rows)
+        lam = stiefel._multiplier(rows, asig, d)
+        args = (rows, u, asig, lam)
+        before = [a.tobytes() for a in args]
+        outs = [stiefel._retract_rows(rows, u, 0.3, d), stiefel._retract_rows(rows, u, 0.0, d),
+                stiefel._gradient_rows(rows, asig, lam, d), stiefel._lam_times(lam, rows, d),
+                stiefel.project_rows(cfg, u)]
+        if d == 1:
+            outs.append(stiefel.normalize_rows(rows))
+        assert [a.tobytes() for a in args] == before
+        for out in outs:
+            assert not any(np.shares_memory(out, a) for a in args + (cfg.rows,))
+
+    def test_d1_retraction_is_the_normalized_sum(self):
+        cfg = oc_random_config(500, 1, 8, 5)
+        u = oc_random_tangent(cfg, 6).rows * 30.0  # rows of norm about 1
+        for t in (1e-9, 0.3, 4.0, -2.5):
+            got = stiefel._retract_rows(cfg.rows, u, t, 1)
+            assert np.abs(np.linalg.norm(got, axis=1) - 1.0).max() <= ROW_TOL
+            moved = cfg.rows + t * u
+            expect = moved / np.linalg.norm(moved, axis=1, keepdims=True)
+            # unit rows: an absolute error is a relative one
+            assert np.linalg.norm(got - expect, axis=1).max() <= 1e-15
+            assert np.array_equal(oc_retract(cfg, StiefelTangent(u, cfg), t).rows, got)
 
 
 class TestGradientAndHessian:

@@ -1,4 +1,5 @@
 import os
+import time
 import warnings
 
 import numpy as np
@@ -205,6 +206,46 @@ class TestOpnorm:
             opnorm_estimate(SymmetricMatrix(np.eye(2)), rel_tol=1.5)
 
 
+def _dense_ritz_range(alpha, beta):
+    """The extreme Ritz values by a dense solve of the whole tridiagonal."""
+    theta = np.linalg.eigvalsh(symmat._tridiagonal(alpha, beta))
+    return float(theta[0]), float(theta[-1])
+
+
+class TestRitzRange:
+    """The Ritz values the estimate reads come from bisection on the tridiagonal."""
+
+    @pytest.mark.parametrize("model", ["goe", "-erdos_renyi", "centered_regular"])
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-8])
+    def test_matches_the_dense_solve(self, monkeypatch, model, rel_tol):
+        A = {"goe": lambda: instances.goe(400, 2),
+             "-erdos_renyi": lambda: -instances.erdos_renyi(800, 8, 4),
+             "centered_regular": lambda: instances.centered_regular(600, 3, 5)}[model]()
+        got = opnorm_estimate(A, rel_tol=rel_tol)
+        monkeypatch.setattr(symmat, "_ritz_range", _dense_ritz_range)
+        dense = opnorm_estimate(A, rel_tol=rel_tol)
+        assert got.iterations == dense.iterations and got.converged == dense.converged
+        assert got.value == pytest.approx(dense.value, rel=1e-12, abs=0.0)
+        assert got.upper == pytest.approx(dense.upper, rel=1e-12, abs=0.0)
+
+    def test_a_long_run_is_five_times_faster(self, monkeypatch):
+        # at rel_tol 1e-15 the run goes on until its estimate stops moving, some
+        # 380 steps, where the dense solve of every step's tridiagonal dominated
+        A = instances.centered_regular(20000, 3, 1)
+        opnorm_estimate(A, max_iters=20)  # warm the imports and the caches
+
+        def cpu(run):
+            start = time.process_time()
+            est = run()
+            return time.process_time() - start, est
+
+        lean, est = min(cpu(lambda: opnorm_estimate(A, rel_tol=1e-15)) for _ in range(2))
+        monkeypatch.setattr(symmat, "_ritz_range", _dense_ritz_range)
+        dense, dense_est = cpu(lambda: opnorm_estimate(A, rel_tol=1e-15))
+        assert min(est.iterations, dense_est.iterations) >= 300
+        assert dense >= 5.0 * lean
+
+
 class TestOpnormUpperBound:
     """The upper bound on ||A||_2 that the same Lanczos run gives (Kuczynski-Wozniakowski)."""
 
@@ -304,6 +345,25 @@ class TestSymmatmul:
         rel = np.linalg.norm(A.dot(x) - oracle) / np.linalg.norm(oracle)
         assert rel <= 1e-10
 
+    def test_shifted_dot_matches_the_dense_matrix(self):
+        A = instances.sbm(3000, 12, 4, 7).A
+        assert A.is_sparse and A.shift != 0.0
+        x = np.random.default_rng(8).standard_normal((3000, 5))
+        err = np.abs(A.dot(x) - A.to_dense() @ x).max()
+        assert err <= 1e-12 * A.l1_norm() * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("model", ["dense", "sparse", "shifted"])
+    @pytest.mark.parametrize("shape", [(60,), (60, 4)])
+    def test_dot_leaves_its_argument_alone(self, model, shape):
+        A = {"dense": lambda: instances.goe(60, 3),
+             "sparse": lambda: -instances.erdos_renyi(60, 6, 3),
+             "shifted": lambda: instances.sbm(60, 12, 4, 3).A}[model]()
+        assert A.is_sparse == (model != "dense") and (A.shift != 0.0) == (model == "shifted")
+        x = np.random.default_rng(4).standard_normal(shape)
+        before = x.tobytes()
+        y = A.dot(x)
+        assert x.tobytes() == before and not np.shares_memory(y, x)
+
     def test_dimension_mismatch(self):
         A = SymmetricMatrix(np.eye(3))
         with pytest.raises(ValueError):
@@ -311,6 +371,20 @@ class TestSymmatmul:
 
 
 class TestFileFormat:
+    def test_lines_print_as_str_format(self, tmp_path, monkeypatch):
+        # one % call per chunk prints the bytes str.format printed line by line
+        monkeypatch.setattr(symmat, "_CHUNK_ROWS", 7)
+        rng = np.random.default_rng(3)
+        v = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                             -1.7976931348623157e308, 0.1, 1 / 3, 1e-300, 2.0**53 + 1],
+                            rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)])
+        i = rng.integers(0, 3 * 10**9, len(v))
+        j = np.arange(len(v), dtype=np.int32)
+        path = tmp_path / "t.txt"
+        symmat._write_lines(path, "head", "%d %d %.17g\n", (i, j, v))
+        expect = "".join(map("{} {} {:.17g}\n".format, i.tolist(), j.tolist(), v.tolist()))
+        assert path.read_text() == "head\n" + expect
+
     def test_round_trip_dense(self, tmp_path):
         rng = np.random.default_rng(9)
         m = rng.standard_normal((7, 7))
