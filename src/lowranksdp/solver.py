@@ -35,8 +35,10 @@ certificate is expected (before the first eigen step of a solve) the search
 and its retry run side by side: two independent recurrences, each with its
 own start, step count, tridiagonal and certificate, whose products share one
 call ``A @ [V1 V2]``.  Such a pair counts 2 x steps Krylov steps but takes
-steps products.  The fixed-step projected-gradient-ascent baseline of the
-paper shares the report format.
+steps products.  A search reads the state's own product and multiplier, and
+each of its steps makes one projection, of the recurrence's residual.  The
+fixed-step projected-gradient-ascent baseline of the paper shares the report
+format.
 
 There is one geometry, the frame product of ``stiefel``: the default
 ``manifold="sphere"`` is its d = 1 case, the product of spheres, and
@@ -230,12 +232,11 @@ class NonFiniteError(ValueError):
 class _State:
     """One iterate on raw rows, from one product ``A @ rows``.
 
-    The loops step on ``rows``; the checked point ``config`` and the Hessian
-    operator (built from the cached product) are made only when asked for.
+    The loops step on ``rows``; the checked point ``config`` is made only
+    when asked for.
     """
 
-    __slots__ = ("geom", "rows", "asig", "lam", "grad", "grad_norm", "objective",
-                 "_config", "_hess")
+    __slots__ = ("geom", "rows", "asig", "lam", "grad", "grad_norm", "objective", "_config")
 
     def __init__(self, geom, rows, asig, lam, grad, config=None):
         self.geom, self.rows, self.asig, self.lam, self.grad = geom, rows, asig, lam, grad
@@ -245,20 +246,13 @@ class _State:
         if not (math.isfinite(self.objective) and math.isfinite(self.grad_norm)):
             raise NonFiniteError("the objective or the gradient norm is not finite: "
                                  "the matrix's products overflow")
-        self._config, self._hess = config, None
+        self._config = config
 
     @property
     def config(self):
         if self._config is None:
             self._config = stiefel.StiefelConfig(self.rows, self.geom.d)
         return self._config
-
-    @property
-    def hess(self):
-        if self._hess is None:
-            self._hess = stiefel.OcHessianOperator._at(self.geom.A, self.config, self.asig,
-                                                       self.lam)
-        return self._hess
 
 
 class _Geometry:
@@ -309,7 +303,7 @@ class _Geometry:
         if (config.k, config.d) != (self.k, self.d):
             raise ValueError(f"start has k = {config.k}, d = {config.d}; the solve runs at "
                              f"k = {self.k}, d = {self.d}")
-        stiefel.OcHessianOperator._check(self.A, config)
+        stiefel._check_matrix(self.A, config)
         return self._state(config.rows, config)
 
     def advance(self, state: _State, u_rows: np.ndarray, t: float) -> _State:
@@ -533,15 +527,16 @@ def _krylov_step_count(cap: int | None, n: int, dim: int, mu_H: float,
     return steps, False
 
 
-def _shifted_hessian(H, mu_H: float, dot):
-    """``symmat._lanczos``'s ``apply`` for Hess + mu_H I: one product
-    ``dot([v_1 v_2 ...])`` of ``H.A`` per call, which at small widths costs
-    far less than a call per vector, since reading A bounds it."""
-    k = H.config.k
+def _shifted_hessian(state: _State, mu_H: float, dot):
+    """``symmat._lanczos``'s ``apply`` for Hess + mu_H I at ``state``: one product
+    ``dot([v_1 v_2 ...])`` per call, which at small widths costs far less than
+    a call per vector, since reading A bounds it.  The images 2(A - Lambda) v
+    + mu_H v are not projected: the recurrence projects its residual."""
+    k, d, lam = state.rows.shape[1], state.geom.d, state.lam
 
     def apply(vs):
         products = dot(vs[0] if len(vs) == 1 else np.hstack(vs))
-        return [H._apply_product(v, products[:, c * k:(c + 1) * k]) + mu_H * v
+        return [stiefel._gradient_rows(v, products[:, c * k:(c + 1) * k], lam, d) + mu_H * v
                 for c, v in enumerate(vs)]
     return apply
 
@@ -549,7 +544,7 @@ def _shifted_hessian(H, mu_H: float, dot):
 class _Search(NamedTuple):
     """Outcome of one curvature search; ``<u, grad f> >= 0`` always."""
 
-    u: object
+    u: np.ndarray  # unit tangent rows
     lam_h: float
     certified: bool  # the top Ritz value minus mu_H is at most epsilon
     steps: int  # Lanczos steps taken
@@ -561,11 +556,13 @@ def _eigen_direction(state: _State, geom, cap: int | None, epsilon: float,
     """Top-curvature search by Lanczos from a random unit tangent, of at most
     ``cap`` steps (None for no cap).
 
-    When the top Ritz value certifies curvature at most ``epsilon``, ``lam_h``
-    is that value and ``u`` the start vector, whose curvature it bounds.
-    Otherwise ``u`` is the Ritz vector, rebuilt by running the same
-    recurrences again and re-projected onto the tangent space, and ``lam_h``
-    its Rayleigh quotient.
+    The search runs on ``state``'s own product and multiplier: each step is
+    one product and one projection, of the recurrence's residual.  When the
+    top Ritz value certifies curvature at most ``epsilon``, ``lam_h`` is that
+    value and ``u`` the start vector, whose curvature it bounds.  Otherwise
+    ``u`` is the Ritz vector, rebuilt by running the same recurrences again
+    and re-projected onto the tangent space, and ``lam_h`` its Rayleigh
+    quotient (one more product).  Either way ``u`` is raw rows.
 
     ``pair`` runs the certificate's retry beside it: a second search from the
     next start drawn from ``rng``, with the same step count, whose products
@@ -573,16 +570,16 @@ def _eigen_direction(state: _State, geom, cap: int | None, epsilon: float,
     first that does not certify; a retry behind a first search that did not
     certify is dropped unread, so only one Ritz vector is ever rebuilt.
     """
-    H, mu_H = state.hess, geom.shift(state)
-    starts = [H.random_tangent(rng) for _ in range(1 + pair)]
+    mu_H = geom.shift(state)
+    starts = [stiefel.oc_random_tangent(state.config, rng).rows for _ in range(1 + pair)]
     steps, capped = _krylov_step_count(cap, geom.n, geom.tangent_dim(), mu_H,
                                        epsilon, lam_prev)
-    # the shifted operator is mu_H on the normal space, the top of the tangent
-    # spectrum near a critical point, so roundoff left there by an unprojected
-    # Lanczos vector would grow and push Ritz values above the spectrum
+    # Hess + mu_H I is mu_H on the normal space, the top of the tangent spectrum
+    # near a critical point, so roundoff left there by an unprojected residual
+    # would grow and push Ritz values above the spectrum
     project = functools.partial(stiefel.project_rows, state.config)
-    run = functools.partial(_lanczos, _shifted_hessian(H, mu_H, geom.dot), project,
-                            [u.rows for u in starts], mu_H)
+    run = functools.partial(_lanczos, _shifted_hessian(state, mu_H, geom.dot), project,
+                            starts, mu_H)
     *_, (alphas, betas, _) = itertools.islice(run(), steps)
     searches = []
     for i, (u, alpha, beta) in enumerate(zip(starts, alphas, betas)):
@@ -595,15 +592,14 @@ def _eigen_direction(state: _State, geom, cap: int | None, epsilon: float,
             # the Ritz vector sum_j coef_j v_j from a replay of the whole run: a
             # dense product of another width differs in roundoff, which lost
             # orthogonality in a long run amplifies until the vector is noise
-            rows = coef[0, -1] * u.rows
+            rows = coef[0, -1] * u
             for c, (_, _, v) in zip(coef[1:, -1], run()):
                 rows += c * v[i]
             rows = project(rows)
-            u = type(u)(rows / np.linalg.norm(rows), state.config)
-            lam_h = H.rayleigh(u)
-            geom.products += 1  # the quotient's product A @ u
-        if float(np.sum(u.rows * state.grad)) < 0.0:
-            u = stiefel.StiefelTangent(-u.rows, u.base)
+            u = rows / np.linalg.norm(rows)
+            lam_h = stiefel._rayleigh(u, geom.dot(u), state.lam, geom.d)
+        if float(np.sum(u * state.grad)) < 0.0:
+            u = -u
         searches.append(_Search(u, lam_h, certified, len(alpha), capped))
         if not certified:
             break
@@ -629,12 +625,14 @@ def direction_finding(A: SymmetricMatrix, config, mu_G: float, *,
         raise ValueError("epsilon must be positive and finite")
     geom = _Geometry(A, config.k, _manifold_of(config))
     state = geom.evaluate(config)
-    rng = np.random.default_rng(seed)
     if state.grad_norm > mu_G:
-        u = stiefel.StiefelTangent((1.0 / state.grad_norm) * state.grad, state.config)
-        return u, "gradient", state.hess.rayleigh(u)
-    search = _eigen_direction(state, geom, None, epsilon, lam_floor, rng)[0]
-    return search.u, "eigen", search.lam_h
+        u, kind = (1.0 / state.grad_norm) * state.grad, "gradient"
+        lam_h = stiefel._rayleigh(u, geom.dot(u), state.lam, geom.d)
+    else:
+        search = _eigen_direction(state, geom, None, epsilon, lam_floor,
+                                  np.random.default_rng(seed))[0]
+        u, kind, lam_h = search.u, "eigen", search.lam_h
+    return stiefel.StiefelTangent(u, state.config), kind, lam_h
 
 
 # -- the trust-region step ---------------------------------------------------------
@@ -677,7 +675,7 @@ def _step(state: _State, geom: _Geometry, opts: SolverOptions, epsilon: float,
         eta = lam_h / (100.0 * geom.l1)
     else:
         eta = min(math.sqrt(lam_h / (216.0 * geom.l1)), lam_h / (12.0 * geom.A.opnorm()))
-    return _Step("eigen", eta, geom.advance(state, search.u.rows, eta), lam_h, krylov_steps,
+    return _Step("eigen", eta, geom.advance(state, search.u, eta), lam_h, krylov_steps,
                  search.capped, searches=len(searches))
 
 

@@ -254,8 +254,9 @@ def oc_objective(A: SymmetricMatrix, config: StiefelConfig) -> float:
     return _objective(_multiplier(config.rows, A.dot(config.rows), config.d), config.d)
 
 
-# The multiplier, objective and gradient from the rows and their product
-# A sigma: the Hessian operator and the solver's raw-row loops share them.
+# The multiplier, objective, gradient and Hessian quotient from the rows and
+# their products: the Hessian operator and the solver's raw-row loops and
+# curvature searches share them.
 
 
 def _multiplier(rows: np.ndarray, asig: np.ndarray, d: int) -> np.ndarray:
@@ -294,6 +295,27 @@ def _gradient_rows(rows: np.ndarray, asig: np.ndarray, lam: np.ndarray, d: int) 
     return out
 
 
+def _rayleigh(u: np.ndarray, au: np.ndarray, lam: np.ndarray, d: int) -> float:
+    """The Hessian's quotient 2(<u, A u> - <u, Lambda u>) / <u, u> at tangent rows
+    ``u`` from ``au = A @ u``; the zero tangent raises ValueError."""
+    uu = float(np.sum(u * u))
+    if uu == 0.0:
+        raise ValueError("rayleigh quotient of the zero tangent")
+    if d == 1:
+        lam_uu = float(np.sum(lam * row_dots(u, u)))
+    else:
+        lam_uu = float(np.sum(u * _lam_times(lam, u, d)))
+    return 2.0 * (float(np.sum(u * au)) - lam_uu) / uu
+
+
+def _check_matrix(A: SymmetricMatrix, config: StiefelConfig) -> None:
+    """Raise ValueError unless ``A`` acts on ``config``'s rows, with d x d blocks at d > 1."""
+    if A.n != config.n:
+        raise ValueError("dimension mismatch between matrix and configuration")
+    if config.d > 1 and A.block_dim != config.d:
+        raise ValueError("matrix lacks matching block structure (block_dim != d)")
+
+
 class OcHessianOperator:
     """Riemannian Hessian of the objective at a fixed configuration.
 
@@ -303,31 +325,16 @@ class OcHessianOperator:
     Caches A sigma and Lambda at construction; safe for concurrent read-only
     application.  At d > 1 the matrix must carry ``block_dim == d``; at d = 1
     any matrix of matching size is taken (``sphere.HessianOperator`` is this
-    class).
+    class).  The solver does not build it: its curvature searches run the same
+    kernels on a state's cached product.
     """
 
     def __init__(self, A: SymmetricMatrix, config: StiefelConfig):
-        self._check(A, config)
+        _check_matrix(A, config)
         self.A = A
         self.config = config
         self._asig = A.dot(config.rows)
         self._lam = _multiplier(config.rows, self._asig, config.d)
-
-    @classmethod
-    def _at(cls, A: SymmetricMatrix, config: StiefelConfig, asig: np.ndarray,
-            lam: np.ndarray) -> "OcHessianOperator":
-        """The operator at ``config`` from its product A sigma and multiplier Lambda,
-        computed from ``config.rows`` by a solve that checked A; takes no product."""
-        op = cls.__new__(cls)
-        op.A, op.config, op._asig, op._lam = A, config, asig, lam
-        return op
-
-    @staticmethod
-    def _check(A: SymmetricMatrix, config: StiefelConfig) -> None:
-        if A.n != config.n:
-            raise ValueError("dimension mismatch between matrix and configuration")
-        if config.d > 1 and A.block_dim != config.d:
-            raise ValueError("matrix lacks matching block structure (block_dim != d)")
 
     @property
     def lam(self) -> np.ndarray:
@@ -353,26 +360,13 @@ class OcHessianOperator:
 
     def apply_rows(self, u_rows: np.ndarray) -> np.ndarray:
         """Hessian action on raw tangent rows, skipping wrapper validation."""
-        return self._apply_product(u_rows, self.A.dot(u_rows))
-
-    def _apply_product(self, u_rows: np.ndarray, au_rows: np.ndarray) -> np.ndarray:
-        """The action of ``apply_rows`` from the product ``au_rows = A @ u_rows``,
-        already computed; takes no product."""
-        return project_rows(self.config,
-                            _gradient_rows(u_rows, au_rows, self._lam, self.config.d))
+        return project_rows(self.config, _gradient_rows(u_rows, self.A.dot(u_rows), self._lam,
+                                                        self.config.d))
 
     def rayleigh(self, u: StiefelTangent) -> float:
         """<u, Hess[u]> / <u, u> via the 2<u, (A - Lambda)u> identity."""
         self._check_base(u)
-        uu = float(np.sum(u.rows * u.rows))
-        if uu == 0.0:
-            raise ValueError("rayleigh quotient of the zero tangent")
-        au = self.A.dot(u.rows)
-        if self.config.d == 1:
-            lam_uu = float(np.sum(self._lam * row_dots(u.rows, u.rows)))
-        else:
-            lam_uu = float(np.sum(u.rows * _lam_times(self._lam, u.rows, self.config.d)))
-        return 2.0 * (float(np.sum(u.rows * au)) - lam_uu) / uu
+        return _rayleigh(u.rows, self.A.dot(u.rows), self._lam, self.config.d)
 
     def random_tangent(self, seed) -> StiefelTangent:
         return oc_random_tangent(self.config, seed)
@@ -437,8 +431,13 @@ _HEADERS = {"config": ("n", "k"), "occonfig": ("m", "d", "k")}
 
 
 def write_config(config: StiefelConfig, path, kind: str | None = None) -> None:
-    """Write ``config`` under header ``kind``; by default ``config`` at d = 1."""
+    """Write ``config`` under header ``kind``; by default ``config`` at d = 1.
+
+    The ``config`` header has no d, so a d > 1 point under it raises ValueError.
+    """
     kind = kind or ("config" if config.d == 1 else "occonfig")
+    if kind == "config" and config.d != 1:
+        raise ValueError(f"a config file holds d = 1 points, not d = {config.d}")
     dims = {"n": config.n, "m": config.m, "d": config.d, "k": config.k}
     header = " ".join([kind] + [f"{key} {dims[key]}" for key in _HEADERS[kind]])
     _write_lines(path, header, " ".join(["%.17g"] * config.k) + "\n", config.rows.T)

@@ -69,6 +69,14 @@ class TestDirectionFinding:
         assert kind == "gradient"
         assert np.allclose(u.rows, g.rows / g.norm, atol=1e-14)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_gradient_branch_returns_the_rayleigh_quotient_of_the_unit_gradient(self, d):
+        A = instances.goe(30, 2).with_block_dim(d)
+        cfg = stiefel.oc_random_config(30 // d, d, 5, 3)
+        u, kind, lam_h = direction_finding(A, cfg, mu_G=0.0, epsilon=0.5, seed=0)
+        assert kind == "gradient"
+        assert lam_h == pytest.approx(stiefel.oc_rayleigh(A, cfg, u), abs=1e-12)
+
     def test_identity_matrix_terminates(self):
         A = SymmetricMatrix(np.eye(12))
         cfg = random_config(12, 3, 2)
@@ -292,7 +300,8 @@ class TestPairedLanczos:
     def recurrences(A, cfg, starts, steps):
         """Diagonal and off-diagonal of ``steps`` Lanczos steps on Hess + 4||A||_1 I."""
         mu = 4.0 * A.l1_norm()
-        run = symmat._lanczos(solver._shifted_hessian(HessianOperator(A, cfg), mu, A.dot),
+        state = solver._Geometry(A, cfg.k, "sphere").evaluate(cfg)
+        run = symmat._lanczos(solver._shifted_hessian(state, mu, A.dot),
                               functools.partial(stiefel.project_rows, cfg), starts, mu)
         *_, (alphas, betas, _) = itertools.islice(run, steps)
         return [(np.array(a), np.array(b[:len(a) - 1])) for a, b in zip(alphas, betas)]
@@ -310,7 +319,7 @@ class TestPairedLanczos:
         alone = [self.recurrences(A, cfg, [start], steps)[0] for start in starts]
         seen = self.widths(monkeypatch)
         paired = self.recurrences(A, cfg, starts, steps)
-        assert seen == [k] + [2 * k] * steps  # the operator's own product, then one per step
+        assert seen == [k] + [2 * k] * steps  # the state's own product, then one per step
         for (a1, b1), (a2, b2) in zip(alone, paired):
             assert a1.size == a2.size == steps and b1.size == b2.size == steps - 1
             if A.is_sparse:
@@ -363,17 +372,19 @@ class TestPairedLanczos:
         # replay of one start at width k drifts from the width-2k run in
         # roundoff, and the loss amplifies the drift (seed 1 then gave a Ritz
         # vector 0.034 mu_H below the top curvature, a negative Rayleigh value)
-        for seed in range(4):
-            A = instances.goe(60, 9500 + seed)
-            cfg = projected_gradient_ascent(A, random_config(60, 3, 9600 + seed), iters=4000,
+        # the sphere product (D = 120) and 3 x 3 blocks at k = 5 (D = 135)
+        for seed, (n, d, k) in itertools.product(range(4), [(60, 1, 3), (45, 3, 5)]):
+            A = instances.goe(n, 9500 + seed).with_block_dim(d)
+            start = stiefel.oc_random_config(n // d, d, k, 9600 + seed)
+            cfg = projected_gradient_ascent(A, start, iters=4000,
                                             grad_tol=0.9 * A.opnorm()).sigma
-            geom = solver._Geometry(A, 3, "sphere")
+            geom = solver._Geometry(A, k, "sphere" if d == 1 else "stiefel")
             state = geom.evaluate(cfg)
             # a tight target asks for more than D steps
             search = solver._eigen_direction(state, geom, None, 1e-8, None,
                                              np.random.default_rng(seed), pair=True)[0]
             assert not search.certified and search.steps == geom.tangent_dim()
-            lam_max = oracles.tangent_hessian_lambda_max(A, cfg)
+            lam_max = oracles.stiefel_tangent_hessian_lambda_max(A, cfg)
             assert abs(search.lam_h - lam_max) <= 1e-12 * geom.shift(state)
 
     def test_certified_solve_takes_one_product_per_step_pair(self, monkeypatch):

@@ -328,6 +328,17 @@ class TestSerialization:
         assert back.d == 3
         assert np.array_equal(back.rows, cfg.rows)
 
+    def test_config_header_refuses_a_block_point(self, tmp_path):
+        # the header has no d: a d = 3 point written there read back at d = 1
+        cfg = oc_random_config(4, 3, 5, 13)
+        path = tmp_path / "c.config"
+        with pytest.raises(ValueError, match="d = 1"):
+            sphere.save_config(cfg, path)
+        assert not path.exists()
+        stiefel.write_config(cfg, path)  # the default header keeps d
+        back = read_config(path)
+        assert back.d == 3 and np.array_equal(back.rows, cfg.rows)
+
     @pytest.mark.parametrize("text", ["config n 2 k 2\nnan nan\n1 0\n",
                                       "occonfig m 1 d 2 k 2\n1 0\ninf 1\n"])
     def test_reader_rejects_nonfinite_rows(self, tmp_path, text):
