@@ -101,10 +101,8 @@ class RoundingResult:
 
 
 def _estimate_rank(A: SymmetricMatrix, manifold: str) -> int:
+    d = solver._block_size(A, manifold)
     if manifold == "stiefel":
-        if A.block_dim is None:
-            raise ValueError("stiefel estimates need a matrix with block_dim set")
-        d = A.block_dim
         return int(math.ceil((d + 1) * math.sqrt(A.num_blocks))) + 1
     return int(math.ceil(math.sqrt(2.0 * A.n))) + 1
 

@@ -208,7 +208,7 @@ def _cmd_solve(args) -> int:
     manifold = args.manifold
     if manifold == "stiefel" and A.block_dim is None:
         raise _UsageError("stiefel solves need a matrix with a blockdim header")
-    _check_ranks([args.k], A.block_dim if manifold == "stiefel" else 1,
+    _check_ranks([args.k], solver._block_size(A, manifold),
                  certified=args.solver != "pga" and args.eps is None)
     rep = _maximizer(A, args.k, args.seed, args, manifold=manifold, epsilon=args.eps)
     if args.out:

@@ -46,8 +46,9 @@ There is one geometry, the frame product of ``stiefel``: the default
 is the paper's recipe in one call: with ``warm_iters`` it first climbs from
 its start by the warm start's policy (which typically reaches its gradient
 tolerance in a tenth or less of the products the fixed-step baseline
-spends), then certifies the point it reached by the paper's schedule, whose
-eigen steps are the private step that ``rtr_step`` takes once.
+spends), then certifies the point it reached by the paper's schedule.  The
+schedule is one generator of steps, ``_schedule``: ``solve`` runs it up to its
+step budget, and ``rtr_step`` is its first step.
 
 All loops step on raw row arrays: one product ``A @ rows`` per step (per
 trial point of a gradient step) gives the multiplier, gradient and objective
@@ -64,6 +65,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -118,16 +120,16 @@ class SolverOptions:
     max_power_iters: int | None = None
 
     def validate(self) -> None:
-        if self.k < 1:
-            raise ValueError("rank k must be >= 1")
+        if not (isinstance(self.k, numbers.Integral) and self.k >= 1):
+            raise ValueError("rank k must be an integer >= 1")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
         if self.epsilon is not None and not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError("epsilon must be positive and finite")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.max_power_iters is not None and self.max_power_iters < 1:
-            raise ValueError("max_power_iters must be >= 1")
+        for name in ("max_iters", "max_power_iters"):
+            count = getattr(self, name)
+            if count is not None and not (isinstance(count, numbers.Integral) and count >= 1):
+                raise ValueError(f"{name} must be an integer >= 1")
         if self.manifold not in ("sphere", "stiefel"):
             raise ValueError("manifold must be 'sphere' or 'stiefel'")
 
@@ -255,17 +257,26 @@ class _State:
         return self._config
 
 
-class _Geometry:
-    """The frame product a solve runs on, with the constants of its analysis.
+def _block_size(A: SymmetricMatrix, manifold: str) -> int:
+    """The block size d of ``manifold`` on ``A``: ``A.block_dim`` for ``"stiefel"``,
+    1 for ``"sphere"`` (which accepts any block structure); any other name raises
+    ValueError."""
+    if manifold == "sphere":
+        return 1
+    if manifold != "stiefel":
+        raise ValueError("manifold must be 'sphere' or 'stiefel'")
+    if A.block_dim is None:
+        raise ValueError("the stiefel manifold needs a matrix with block_dim set")
+    return A.block_dim
 
-    ``manifold="stiefel"`` takes d = ``A.block_dim``; ``"sphere"`` is d = 1,
-    which accepts any block structure.
-    """
+
+class _Geometry:
+    """The frame product a solve runs on, with the constants of its analysis,
+    and the tallies of its run (products, curvature searches, their Lanczos
+    steps and whether ``max_power_iters`` shortened any)."""
 
     def __init__(self, A: SymmetricMatrix, k: int, manifold: str):
-        if manifold == "stiefel" and A.block_dim is None:
-            raise ValueError("stiefel solves need a matrix with block_dim set")
-        d = A.block_dim if manifold == "stiefel" else 1
+        d = _block_size(A, manifold)
         if k < d:
             raise ValueError("rank k must be at least the block dimension d")
         self.A, self.k, self.d, self.n, self.m = A, k, d, A.n, A.n // d
@@ -275,6 +286,8 @@ class _Geometry:
         # 2(1 + sqrt(d)) ||A||_1, which is 4||A||_1 on the sphere product
         self.mu_cap = 2.0 * (1.0 + math.sqrt(d)) * self.l1
         self.products = 0  # the products A @ X of this geometry's run
+        self.searches = self.krylov_steps = 0
+        self.cap_hit = False
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         self.products += 1
@@ -568,7 +581,8 @@ def _eigen_direction(state: _State, geom, cap: int | None, epsilon: float,
     next start drawn from ``rng``, with the same step count, whose products
     share the first one's calls.  The searches are returned in order up to the
     first that does not certify; a retry behind a first search that did not
-    certify is dropped unread, so only one Ritz vector is ever rebuilt.
+    certify is dropped unread, so only one Ritz vector is ever rebuilt.  The
+    returned searches are added to ``geom``'s tallies; a dropped retry is not.
     """
     mu_H = geom.shift(state)
     starts = [stiefel.oc_random_tangent(state.config, rng).rows for _ in range(1 + pair)]
@@ -603,6 +617,9 @@ def _eigen_direction(state: _State, geom, cap: int | None, epsilon: float,
         searches.append(_Search(u, lam_h, certified, len(alpha), capped))
         if not certified:
             break
+    geom.searches += len(searches)
+    geom.krylov_steps += sum(search.steps for search in searches)
+    geom.cap_hit = geom.cap_hit or capped
     return searches
 
 
@@ -635,74 +652,81 @@ def direction_finding(A: SymmetricMatrix, config, mu_G: float, *,
     return stiefel.StiefelTangent(u, state.config), kind, lam_h
 
 
-# -- the trust-region step ---------------------------------------------------------
+# -- the trust-region schedule ------------------------------------------------------
 
 
 class _Step(NamedTuple):
-    kind: str  # "eigen" | "none" (certified twice: no movement)
+    kind: str  # "gradient" | "eigen" | "none" (certified twice: no movement)
     eta: float
     state: _State  # after the step; the unchanged state for "none"
-    lam_h: float
-    krylov_steps: int
-    capped: bool
-    searches: int = 0  # curvature searches run
+    lam_h: float = math.nan
+    krylov_steps: int = 0  # Lanczos steps of the step's curvature searches
+    capped: bool = False  # max_power_iters shortened the step's searches
+
+    def record(self, index: int) -> StepRecord:
+        return StepRecord(index, self.kind, self.eta, self.state.objective,
+                          self.state.grad_norm, self.lam_h, self.krylov_steps)
 
 
-def _step(state: _State, geom: _Geometry, opts: SolverOptions, epsilon: float,
-          lam_prev: float | None, rng) -> _Step:
-    """One eigen step of the schedule in the module docstring (``geom.l1`` must be positive).
+def _schedule(geom: _Geometry, state: _State, opts: SolverOptions, epsilon: float, rng):
+    """The schedule of the module docstring from ``state``: one ``_Step`` per
+    step, ending after a ``"none"`` step (callers cap the count).
 
-    A search that certifies curvature at most ``epsilon`` is retried once
-    from a fresh start (a random start fails with small probability; the
-    same ``lam_prev`` gives the same count), and a second certificate means
-    kind ``"none"`` with ``lam_h`` the larger bound.  Before the first eigen
-    step of a solve (``lam_prev is None``) a certificate is the likely
-    outcome, so the retry runs beside the search (``_eigen_direction`` with
-    ``pair``): both together take the products of one.  Gradient steps are
-    ``_ascent``'s.
+    A zero matrix or a trivial tangent space (d = k = 1) is certified as it
+    stands, at once and with curvature 0.  A certificate is retried once from a
+    fresh start (the same ``lam_prev`` gives the same count), and a second one
+    is kind ``"none"`` with ``lam_h`` the larger bound.  Before the first eigen
+    step a certificate is likely, so the retry runs beside the search
+    (``_eigen_direction`` with ``pair``) and both take the products of one.
     """
-    cap = opts.max_power_iters
-    searches = _eigen_direction(state, geom, cap, epsilon, lam_prev, rng, pair=lam_prev is None)
-    if searches[-1].certified and len(searches) == 1:
-        searches += _eigen_direction(state, geom, cap, epsilon, lam_prev, rng)
-    krylov_steps = sum(search.steps for search in searches)
-    search = searches[-1]
-    if search.certified:
-        return _Step("none", 0.0, state, max(s.lam_h for s in searches), krylov_steps,
-                     searches[0].capped, searches=len(searches))
-    lam_h = search.lam_h
-    if opts.mode == MODE_EIGEN_ONLY:
-        eta = lam_h / (100.0 * geom.l1)
-    else:
-        eta = min(math.sqrt(lam_h / (216.0 * geom.l1)), lam_h / (12.0 * geom.A.opnorm()))
-    return _Step("eigen", eta, geom.advance(state, search.u, eta), lam_h, krylov_steps,
-                 search.capped, searches=len(searches))
+    if geom.l1 == 0.0 or geom.tangent_dim() == 0:
+        yield _Step("none", 0.0, state, 0.0)
+        return
+    cap, lam_prev = opts.max_power_iters, None
+    while True:
+        if opts.mode == MODE_GRADIENT_EIGEN and state.grad_norm > geom.A.opnorm():
+            for state, t in _ascent(geom, state, geom.A.opnorm(), *_PAPER):
+                yield _Step("gradient", t, state)
+        searches = _eigen_direction(state, geom, cap, epsilon, lam_prev, rng,
+                                    pair=lam_prev is None)
+        if searches[-1].certified and len(searches) == 1:
+            searches += _eigen_direction(state, geom, cap, epsilon, lam_prev, rng)
+        krylov_steps = sum(search.steps for search in searches)
+        search = searches[-1]
+        if search.certified:
+            yield _Step("none", 0.0, state, max(s.lam_h for s in searches), krylov_steps,
+                        search.capped)
+            return
+        lam_prev = search.lam_h
+        if opts.mode == MODE_EIGEN_ONLY:
+            eta = lam_prev / (100.0 * geom.l1)
+        else:
+            eta = min(math.sqrt(lam_prev / (216.0 * geom.l1)),
+                      lam_prev / (12.0 * geom.A.opnorm()))
+        state = geom.advance(state, search.u, eta)
+        yield _Step("eigen", eta, state, lam_prev, krylov_steps, search.capped)
 
 
-def rtr_step(A: SymmetricMatrix, config, opts: SolverOptions, *,
-             rng=None, lam_prev: float | None = None):
-    """One step of the trust-region schedule; returns (next_config, record).
+def _target(A: SymmetricMatrix, opts: SolverOptions) -> float:
+    """``opts.epsilon``, or ``default_epsilon`` when it is None."""
+    return opts.epsilon if opts.epsilon is not None else default_epsilon(A, opts.k, opts.manifold)
+
+
+def rtr_step(A: SymmetricMatrix, config, opts: SolverOptions):
+    """The first step of ``solve(A, opts, sigma0=config)``; returns (next_config, record).
 
     A gradient step is the first step of the paper's ``_ascent`` from
-    ``config``, so its trial length is 1/(4 ||A||_1).  Without ``rng`` it is
-    the first step of ``solve(A, opts, sigma0=config)``.  A zero
-    matrix, a trivial tangent space (d = k = 1), or curvature certified at or
-    below the target by two Lanczos searches in a row, produces no movement
-    (kind ``"none"``), as ``solve`` stops there.  A ``config`` of another
-    rank or block size than ``opts`` asks for raises ValueError.
+    ``config``, so its trial length is 1/(4 ||A||_1).  A zero matrix, a
+    trivial tangent space (d = k = 1), or curvature certified at or below the
+    target by two Lanczos searches in a row gives kind ``"none"`` and no
+    movement.  As in ``solve``, a ``config`` of another rank or block size
+    than ``opts`` asks for raises ValueError, and so does k_d <= 1 without
+    ``opts.epsilon``.
     """
     opts.validate()
-    geom, state, _, stream = _climb(A, opts.k, opts.manifold, config, opts.seed, 0)
-    rng = stream if rng is None else np.random.default_rng(rng)
-    if geom.l1 == 0.0 or geom.tangent_dim() == 0:
-        return config, StepRecord(0, "none", 0.0, state.objective, state.grad_norm, 0.0)
-    epsilon = opts.epsilon if opts.epsilon is not None else default_epsilon(A, opts.k, opts.manifold)
-    if opts.mode == MODE_GRADIENT_EIGEN and state.grad_norm > A.opnorm():
-        state, t = next(_ascent(geom, state, A.opnorm(), *_PAPER))
-        return state.config, StepRecord(0, "gradient", t, state.objective, state.grad_norm)
-    step = _step(state, geom, opts, epsilon, lam_prev, rng)
-    return step.state.config, StepRecord(0, step.kind, step.eta, step.state.objective,
-                                         step.state.grad_norm, step.lam_h, step.krylov_steps)
+    geom, state, _, rng = _climb(A, opts.k, opts.manifold, config, opts.seed, 0)
+    step = next(_schedule(geom, state, opts, _target(A, opts), rng))
+    return step.state.config, step.record(0)
 
 
 # -- full solves -----------------------------------------------------------------
@@ -710,73 +734,49 @@ def rtr_step(A: SymmetricMatrix, config, opts: SolverOptions, *,
 
 def solve(A: SymmetricMatrix, opts: SolverOptions, sigma0=None, *,
           warm_iters: int = 0) -> SolveReport:
-    """Climb from a start, then run the trust-region method until the curvature
+    """Climb from a start, then run the trust-region schedule until the curvature
     certificate holds.
 
     The start is the first draw of ``opts.seed``'s stream even when ``sigma0``
     replaces it, so the searches draw the same Gaussians either way, none of
     them the start's.  The climb is at most ``warm_iters`` steps of the warm
     start's ``_ascent``, which stops once the gradient norm is at most
-    1e-3 ||A||_1 and draws nothing.  In gradient-eigen mode, whenever the
-    gradient norm is above ||A||_2 the loop runs the paper's ``_ascent`` down
-    to it, one trace row and one step of the budget per accepted step.  The
-    loop terminates when a Lanczos certificate reports top curvature at most
-    epsilon twice in a row, or when the step budget is exhausted.
-    ``converged`` is False then, and also when ``max_power_iters`` shortened
-    the final certificate's step count (no exception either way).
-    A start of another rank or block size than ``opts`` raises ValueError.
+    1e-3 ||A||_1 and draws nothing.  Then at most the budget's steps of
+    ``_schedule`` run, one trace row each; the run stops when a Lanczos
+    certificate reports top curvature at most epsilon twice in a row, or when
+    the step budget is exhausted.  ``converged`` is False then, and also when
+    ``max_power_iters`` shortened the final certificate's step count (no
+    exception either way).  A start of another rank or block size than
+    ``opts`` raises ValueError.
     """
     opts.validate()
     if warm_iters < 0:
         raise ValueError("warm_iters must be >= 0")
     geom, state, warm_steps, rng = _climb(A, opts.k, opts.manifold, sigma0, opts.seed, warm_iters)
-    epsilon = opts.epsilon if opts.epsilon is not None else default_epsilon(A, opts.k, opts.manifold)
-    trace = [StepRecord(0, "init", 0.0, state.objective, state.grad_norm)]
-
-    # a zero matrix or a trivial tangent space (d = k = 1) is certified as it stands
-    trivial = geom.l1 == 0.0 or geom.tangent_dim() == 0
+    epsilon = _target(A, opts)
     budget = opts.max_iters if opts.max_iters is not None else worst_case_budget(A, epsilon, opts.mode)
-    budget = 0 if trivial else budget
-    krylov_steps = searches = it = 0
-    cap_hit, converged, cert = False, trivial, 0.0
-    lam_prev: float | None = None
-    while it < budget:
-        if opts.mode == MODE_GRADIENT_EIGEN and state.grad_norm > A.opnorm():
-            phase = _ascent(geom, state, A.opnorm(), *_PAPER)
-            for state, t in itertools.islice(phase, budget - it):
-                it += 1
-                trace.append(StepRecord(it, "gradient", t, state.objective, state.grad_norm))
-            continue
-        it += 1
-        step = _step(state, geom, opts, epsilon, lam_prev, rng)
-        krylov_steps += step.krylov_steps
-        searches += step.searches
-        cap_hit = cap_hit or step.capped
+    trace = [StepRecord(0, "init", 0.0, state.objective, state.grad_norm)]
+    steps = itertools.islice(_schedule(geom, state, opts, epsilon, rng), budget)
+    for index, step in enumerate(steps, 1):
         if step.kind == "none":
-            cert = step.lam_h
             # a shortened count certifies less than the analysis states
-            converged = not step.capped
+            converged, cert = not step.capped, step.lam_h
             break
-        state, lam_prev = step.state, step.lam_h
-        trace.append(StepRecord(it, step.kind, step.eta, state.objective, state.grad_norm,
-                                step.lam_h, step.krylov_steps))
+        state = step.state
+        trace.append(step.record(index))
     else:
-        if not trivial:
-            # budget exhausted: measure (but do not certify) the current curvature
-            search = _eigen_direction(state, geom, opts.max_power_iters, epsilon, lam_prev,
-                                      rng)[0]
-            cert = search.lam_h
-            krylov_steps += search.steps
-            searches += 1
-            cap_hit = cap_hit or search.capped
+        # budget exhausted: measure (but do not certify) the current curvature
+        lam_prev = next((rec.lam_h for rec in reversed(trace) if rec.kind == "eigen"), None)
+        converged = False
+        cert = _eigen_direction(state, geom, opts.max_power_iters, epsilon, lam_prev, rng)[0].lam_h
 
-    kinds = [rec.kind for rec in trace]
+    kinds, searches = [rec.kind for rec in trace], geom.searches
     return SolveReport(sigma=state.config, objective=state.objective, grad_norm=state.grad_norm,
                        curvature_cert=float(cert), converged=converged,
                        gradient_steps=kinds.count("gradient"), eigen_steps=kinds.count("eigen"),
                        trace=trace, seed=opts.seed, epsilon=epsilon, mode=opts.mode,
-                       manifold=geom.manifold, budget=budget, krylov_steps=krylov_steps,
-                       cap_hit=cap_hit,
+                       manifold=geom.manifold, budget=budget, krylov_steps=geom.krylov_steps,
+                       cap_hit=geom.cap_hit,
                        failure_prob=min((1 + searches) / geom.n, 1.0) if searches else 0.0,
                        warm_steps=warm_steps, products=geom.products)
 

@@ -473,6 +473,10 @@ class TestRtrStep:
         assert rec.kind == "none" and rec.step_size == 0.0
         assert rec.objective == sphere.objective(A, cfg)
         assert solve(A, opts, sigma0=cfg).converged
+        # without a target, k = 1 has no default epsilon: both entry points refuse it alike
+        for call in (lambda o: solve(A, o, sigma0=cfg), lambda o: rtr_step(A, cfg, o)):
+            with pytest.raises(ValueError, match="effective rank must exceed 1"):
+                call(SolverOptions(k=1))
 
     def test_gradient_step_is_the_public_retraction(self):
         # oc_retract(sigma, grad, step_size) bit for bit, moving the row at
@@ -573,11 +577,16 @@ class TestSolve:
         assert rep.iterations == 0
         assert rep.objective == 0.0
         assert rep.curvature_cert == 0.0
+        # the certificate is the schedule's first step, so the budget is the step cap
+        assert rep.budget == worst_case_budget(A, rep.epsilon, rep.mode) == 1
+        assert solve(A, SolverOptions(k=3, max_iters=7)).budget == 7
 
     def test_k1_trivial_tangent_space(self):
         A = instances.goe(8, 0)
         rep = solve(A, SolverOptions(k=1, epsilon=0.5, seed=0))
         assert rep.converged and rep.iterations == 0
+        assert rep.budget == worst_case_budget(A, 0.5, MODE_GRADIENT_EIGEN) > 1
+        assert rep.krylov_steps == 0 and rep.failure_prob == 0.0
 
     def test_converges_with_certificate_and_ascends(self):
         A = instances.goe(80, 5)
@@ -759,6 +768,28 @@ class TestDefaults:
             SolverOptions(k=2, epsilon=-1.0).validate()
         with pytest.raises(ValueError):
             SolverOptions(k=2, max_power_iters=0).validate()
+        # a non-integral count was taken: 2.5 Lanczos steps capped every search at
+        # 2, and k = 3.0 or max_iters = 2.5 failed deep inside the solve
+        for field, value in (("k", 3.0), ("max_iters", 2.5), ("max_power_iters", 2.5),
+                             ("max_iters", np.float64(3.0))):
+            opts = dataclasses.replace(SolverOptions(k=2), **{field: value})
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                opts.validate()
+        SolverOptions(k=np.int64(2), max_iters=np.int64(5), max_power_iters=np.int32(3)).validate()
+
+    # a misspelled manifold name ran the sphere product (d = 1) instead of raising;
+    # estimate_sdp on a zero matrix returns before any geometry is built
+    @pytest.mark.parametrize("call", [
+        lambda A: solver.random_start(A, 6, 0, "Stiefel"),
+        lambda A: default_epsilon(A, 6, "Stiefel"),
+        lambda A: estimate_sdp(A, manifold="Stiefel"),
+        lambda A: estimate_sdp(SymmetricMatrix(np.zeros((90, 90)), block_dim=3),
+                               manifold="Stiefel"),
+    ], ids=["random_start", "default_epsilon", "estimate_sdp", "estimate_sdp-zero"])
+    def test_unknown_manifold_raises(self, call):
+        A = instances.goe(90, 0).with_block_dim(3)
+        with pytest.raises(ValueError, match="manifold must be 'sphere' or 'stiefel'"):
+            call(A)
 
     # an infinite target was certified at once: converged=True on a vacuous claim
     @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
@@ -1072,18 +1103,32 @@ class TestOneStream:
         assert rep.krylov_steps > 0 and len(gaussians) >= 2
         assert not any(np.array_equal(g, start_gaussian) for g in gaussians)
 
-    @pytest.mark.parametrize("kind", ["gradient", "eigen"])
-    def test_rtr_step_is_the_first_step_of_a_solve(self, kind):
+    @pytest.mark.parametrize("kind, d", [("gradient", 1), ("eigen", 1), ("none", 1),
+                                         ("gradient", 3)],
+                             ids=["gradient", "eigen", "none", "gradient-d3"])
+    def test_rtr_step_is_the_first_step_of_a_solve(self, kind, d):
         A = instances.goe(60, 3)
-        if kind == "gradient":
+        if d == 3:
+            A = A.with_block_dim(3)
+            start = solver.random_start(A, 6, 7, "stiefel")
+            opts = SolverOptions(k=6, manifold="stiefel", seed=2)
+        elif kind == "gradient":
             start, opts = random_config(60, 3, 7), SolverOptions(k=3, epsilon=1e-6, seed=2)
-        else:
+        elif kind == "eigen":
             start = warm_point(A, 3, 7)
             opts = SolverOptions(k=3, mode=MODE_EIGEN_ONLY, epsilon=1e-8, seed=2)
-        _, rec = rtr_step(A, start, opts)
+        else:
+            start, opts = warm_point(A, 3, 7), SolverOptions(k=3, epsilon=1.0, seed=2)
+        nxt, rec = rtr_step(A, start, opts)
         rep = solve(A, dataclasses.replace(opts, max_iters=1), sigma0=start)
-        assert rec.kind == rep.trace[1].kind == kind
-        assert repr(dataclasses.replace(rec, index=1)) == repr(rep.trace[1])
+        assert rec.kind == kind
+        if kind == "none":
+            # a certified step is no trace row: the report carries its certificate
+            assert nxt is start and len(rep.trace) == 1 and rep.converged
+            assert (rec.lam_h, rec.krylov_steps) == (rep.curvature_cert, rep.krylov_steps)
+        else:
+            assert repr(dataclasses.replace(rec, index=1)) == repr(rep.trace[1])
+            assert np.array_equal(nxt.rows, rep.sigma.rows)
 
 
 _ENTRIES = {"solve": lambda A, opts, start: solve(A, opts, sigma0=start),
