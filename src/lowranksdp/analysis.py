@@ -131,12 +131,13 @@ def _wide(upper: float, value: float, l1: float) -> bool:
     return upper == math.inf or upper - value > _GAP_RTOL * max(abs(upper), l1)
 
 
-def _dual_upper(shifted: np.ndarray, state) -> float:
+def _dual_upper(B: SymmetricMatrix, state) -> float:
     """sum_i tr(Lambda_i) + n max(0, lam_max(B - blockdiag(Lambda))) at a climbed state.
 
-    ``shifted`` is a dense copy of B, which this overwrites with B - blockdiag(Lambda).
+    It makes one dense copy of B and overwrites it with B - blockdiag(Lambda).
     """
     d = state.geom.d
+    shifted = B.to_dense()
     n = shifted.shape[0]
     m = n // d
     at = np.arange(m)
@@ -145,20 +146,21 @@ def _dual_upper(shifted: np.ndarray, state) -> float:
     return state.objective + n * max(0.0, float(np.linalg.eigvalsh(shifted)[-1]))
 
 
-def _one_sided_estimate(B: SymmetricMatrix, sign: float, dense: np.ndarray | None, rank: int,
-                        seed, manifold: str, pga_iters: int) -> _Side:
-    """The bracket of SDP(B), B = sign * A, from a climb at ``rank`` from a seeded start.
+def _one_sided_estimate(B: SymmetricMatrix, rank: int, seed, manifold: str,
+                        pga_iters: int) -> _Side:
+    """The bracket of SDP(B) from a climb at ``rank`` from a seeded start.
 
-    ``dense`` is A's dense copy; None past the dense cutoff, where the upper
-    end is infinite.  ``B`` must not be zero.
+    Past ``_DENSE_CUTOFF`` rows the upper end is infinite.  ``B`` must not be
+    zero.
     """
     geom, state, steps, _ = solver._climb(B, rank, manifold, None, seed, pga_iters)
-    upper = math.inf if dense is None else _dual_upper(sign * dense, state)
-    if dense is not None and _wide(upper, state.objective, geom.l1):
+    dense = B.n <= _DENSE_CUTOFF
+    upper = _dual_upper(B, state) if dense else math.inf
+    if dense and _wide(upper, state.objective, geom.l1):
         grad_tol = _RECLIMB_FACTOR * solver._CLIMB_RTOL * geom.l1
         state, more = solver._warm_ascent(geom, state, grad_tol, pga_iters - steps)
         if more:
-            upper = _dual_upper(sign * dense, state)
+            upper = _dual_upper(B, state)
     return _Side(state.objective, upper, not _wide(upper, state.objective, geom.l1),
                  state.config)
 
@@ -179,7 +181,8 @@ def estimate_sdp(A: SymmetricMatrix, seed=0, *, manifold: str = "sphere",
     Past the cutoff the climb is all that runs: the upper end is infinite and
     the side is not converged.  No curvature search and no ||A||_2 estimate
     runs at any size; every product goes through ``SymmetricMatrix.dot``, and
-    the dense copy is made once for both signs.  A bracket left wide is
+    each upper end reads a fresh dense copy of its side's matrix, so at most one
+    n x n copy is held at a time.  A bracket left wide is
     reported through the converged flags, never raised; a negative
     ``pga_iters`` raises ValueError.
     """
@@ -189,9 +192,8 @@ def estimate_sdp(A: SymmetricMatrix, seed=0, *, manifold: str = "sphere",
     if A.l1_norm() == 0.0:
         return SdpEstimate(0.0, 0.0, rank_used=rank, upper_plus=0.0, upper_minus=0.0)
     seeds = np.random.SeedSequence(seed).spawn(2)
-    dense = A.to_dense() if A.n <= _DENSE_CUTOFF else None
-    plus = _one_sided_estimate(A, 1.0, dense, rank, seeds[0], manifold, pga_iters)
-    minus = _one_sided_estimate(-A, -1.0, dense, rank, seeds[1], manifold, pga_iters)
+    plus = _one_sided_estimate(A, rank, seeds[0], manifold, pga_iters)
+    minus = _one_sided_estimate(-A, rank, seeds[1], manifold, pga_iters)
     return SdpEstimate(value_plus=plus.value, value_minus=minus.value, rank_used=rank,
                        converged_plus=plus.converged, converged_minus=minus.converged,
                        upper_plus=plus.upper, upper_minus=minus.upper,

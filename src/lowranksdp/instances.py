@@ -61,8 +61,8 @@ def goe(n: int, seed) -> SymmetricMatrix:
     _check_dense(n)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n))
-    w = (g + g.T) / np.sqrt(2.0 * n)
-    return SymmetricMatrix(w)
+    # g + g.T is exactly symmetric in floating point: no asymmetry test or averaging
+    return SymmetricMatrix._symmetric((g + g.T) / np.sqrt(2.0 * n))
 
 
 def spiked(n: int, lam: float, seed) -> Instance:
@@ -76,8 +76,8 @@ def spiked(n: int, lam: float, seed) -> Instance:
     u = rng.choice([-1.0, 1.0], size=n)
     g = rng.standard_normal((n, n))
     w = (g + g.T) / np.sqrt(2.0 * n)
-    a = (lam / n) * np.outer(u, u) + w
-    return Instance(A=SymmetricMatrix(a), ground_truth=u,
+    a = (lam / n) * np.outer(u, u) + w  # exactly symmetric, as in ``goe``
+    return Instance(A=SymmetricMatrix._symmetric(a), ground_truth=u,
                     meta={"model": "spiked", "n": n, "lam": lam, "seed": seed})
 
 

@@ -54,10 +54,11 @@ All loops step on raw row arrays: one product ``A @ rows`` per step (per
 trial point of a gradient step) gives the multiplier, gradient and objective
 through the same ``stiefel`` kernels the public objects use, in the same
 order, so the iterates are those of ``oc_gradient`` and ``oc_retract`` to
-the bit.  Only the start, each state a curvature search reads and the
-report's point pass the point check of ``StiefelConfig``; in the loops every
-state raises ``NonFiniteError``, a ValueError, if its objective or gradient
-norm is not finite.
+the bit.  The curvature searches draw and project their tangents with the
+raw-row kernels behind ``oc_random_tangent`` and ``project_rows``.  Only the
+start and the report's point pass the point check of ``StiefelConfig``, and
+no tangent check runs; in the loops every state raises ``NonFiniteError``, a
+ValueError, if its objective or gradient norm is not finite.
 """
 
 from __future__ import annotations
@@ -234,8 +235,8 @@ class NonFiniteError(ValueError):
 class _State:
     """One iterate on raw rows, from one product ``A @ rows``.
 
-    The loops step on ``rows``; the checked point ``config`` is made only
-    when asked for.
+    The loops and curvature searches read ``rows``; the checked point
+    ``config`` is made only when asked for, for a start or an output.
     """
 
     __slots__ = ("geom", "rows", "asig", "lam", "grad", "grad_norm", "objective", "_config")
@@ -569,8 +570,9 @@ def _eigen_direction(state: _State, geom, cap: int | None, epsilon: float,
     """Top-curvature search by Lanczos from a random unit tangent, of at most
     ``cap`` steps (None for no cap).
 
-    The search runs on ``state``'s own product and multiplier: each step is
-    one product and one projection, of the recurrence's residual.  When the
+    The search runs on ``state``'s own rows, product and multiplier, with no
+    checked point or tangent: each step is one product and one projection, of
+    the recurrence's residual.  When the
     top Ritz value certifies curvature at most ``epsilon``, ``lam_h`` is that
     value and ``u`` the start vector, whose curvature it bounds.  Otherwise
     ``u`` is the Ritz vector, rebuilt by running the same recurrences again
@@ -585,20 +587,21 @@ def _eigen_direction(state: _State, geom, cap: int | None, epsilon: float,
     returned searches are added to ``geom``'s tallies; a dropped retry is not.
     """
     mu_H = geom.shift(state)
-    starts = [stiefel.oc_random_tangent(state.config, rng).rows for _ in range(1 + pair)]
+    starts = [stiefel._random_tangent(state.rows, geom.d, rng) for _ in range(1 + pair)]
     steps, capped = _krylov_step_count(cap, geom.n, geom.tangent_dim(), mu_H,
                                        epsilon, lam_prev)
     # Hess + mu_H I is mu_H on the normal space, the top of the tangent spectrum
     # near a critical point, so roundoff left there by an unprojected residual
     # would grow and push Ritz values above the spectrum
-    project = functools.partial(stiefel.project_rows, state.config)
+    project = functools.partial(stiefel._project, state.rows, d=geom.d)
     run = functools.partial(_lanczos, _shifted_hessian(state, mu_H, geom.dot), project,
                             starts, mu_H)
     *_, (alphas, betas, _) = itertools.islice(run(), steps)
     searches = []
     for i, (u, alpha, beta) in enumerate(zip(starts, alphas, betas)):
-        # the tridiagonal is small (the step count), so a dense solve is cheap
-        # and keeps scipy.linalg out of the process
+        # the tridiagonal is small (the step count), so a dense solve is cheap;
+        # it is a full eigh, not eigenvalues alone, since the Ritz vector below
+        # is rebuilt from the top eigenvector's coefficients
         theta, coef = np.linalg.eigh(_tridiagonal(alpha, beta))
         lam_h = float(theta[-1]) - mu_H
         certified = lam_h <= epsilon

@@ -79,9 +79,10 @@ def _blocks(rows: np.ndarray, m: int, d: int) -> np.ndarray:
 # -- the point and tangent checks ------------------------------------------------
 #
 # Both run in the constructors, at the API boundary: a solve builds a checked
-# point only for its start, each state a curvature search reads and the
-# report's point, and its loops step on raw rows unchecked.  They sum along
-# rows with one BLAS product instead of numpy's slow short-axis reductions.
+# point only for its start and the report's point, and its loops and
+# curvature searches step, project and draw on raw rows unchecked.  They sum
+# along rows with one BLAS product instead of numpy's slow short-axis
+# reductions.
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -194,16 +195,21 @@ class StiefelTangent:
 
 def project_rows(config: StiefelConfig, v: np.ndarray) -> np.ndarray:
     """Blockwise projection v_i - sym(v_i R_i^T) R_i onto the tangent space."""
-    if config.d == 1:
-        out = _lam_times(row_dots(config.rows, v), config.rows, 1)
+    return _project(config.rows, v, config.d)
+
+
+def _project(rows: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
+    """The projection of ``project_rows`` at raw rows, as a fresh array."""
+    if d == 1:
+        out = _lam_times(row_dots(rows, v), rows, 1)
         return np.subtract(v, out, out=out)
-    m, d = config.m, config.d
+    m = rows.shape[0] // d
     vb = _blocks(np.asarray(v, dtype=float), m, d)
-    rb = config.blocks()
+    rb = _blocks(rows, m, d)
     s = np.einsum("bik,bjk->bij", vb, rb)
     s = 0.5 * (s + s.transpose(0, 2, 1))
     out = vb - np.einsum("bij,bjk->bik", s, rb)
-    return out.reshape(config.rows.shape)
+    return out.reshape(rows.shape)
 
 
 def oc_project_tangent(config: StiefelConfig, v: np.ndarray) -> StiefelTangent:
@@ -407,17 +413,22 @@ def oc_random_config(m: int, d: int, k: int, seed) -> StiefelConfig:
 
 def oc_random_tangent(config: StiefelConfig, seed) -> StiefelTangent:
     """Projected Gaussian of unit Frobenius norm; deterministic per seed."""
-    if config.d == 1 and config.k == 1:
+    return StiefelTangent(_random_tangent(config.rows, config.d, seed), config)
+
+
+def _random_tangent(rows: np.ndarray, d: int, seed) -> np.ndarray:
+    """The draw of ``oc_random_tangent`` at raw rows; the result is not checked."""
+    if d == 1 and rows.shape[1] == 1:
         raise ValueError("tangent space is trivial for d = k = 1")
     rng = np.random.default_rng(seed)
     for _ in range(100):
-        g = rng.standard_normal(config.rows.shape)
-        p = project_rows(config, g)
+        g = rng.standard_normal(rows.shape)
+        p = _project(rows, g, d)
         nrm = np.linalg.norm(p)
         # redraw when the sample is (numerically) normal to the manifold, so
         # normalization never amplifies roundoff into a bogus direction
         if nrm > 1e-8 * np.linalg.norm(g):
-            return StiefelTangent(p / nrm, config)
+            return p / nrm
     raise ValueError("degenerate random tangent draw")
 
 

@@ -881,20 +881,13 @@ class TestWarmStart:
         assert 0 < steps <= trials and products[0] == trials + 1
         assert state.grad_norm <= 1e-3 * geom.l1
         assert points == [] and tangents[0] == 0
-        # a solve checks its start, the state each curvature search reads (each
-        # eigen step's and the last) and the report's point, and no other point
-        searched, search = [], solver._eigen_direction
-
-        def search_spy(state, *args, **kwargs):
-            searched.append(state.rows.tobytes())
-            return search(state, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "_eigen_direction", search_spy)
+        # a solve checks its start and the report's point; no state its
+        # curvature searches read and no tangent they draw is checked
         opts = SolverOptions(k=k, manifold=manifold, epsilon=1e-6, max_iters=3, seed=5)
         rep = solve(A, opts, warm_iters=3000)
-        assert rep.eigen_steps > 0 and len(set(searched)) == rep.eigen_steps + 1
-        assert points[0] == start.rows.tobytes() and points[1:] == list(dict.fromkeys(searched))
-        assert points[-1] == rep.sigma.rows.tobytes()
+        assert rep.eigen_steps > 0 and rep.krylov_steps > 0
+        assert points == [start.rows.tobytes(), rep.sigma.rows.tobytes()]
+        assert tangents[0] == 0
         # the baseline checks only the point it reports
         points.clear()
         fixed = projected_gradient_ascent(A, start, iters=50)
@@ -1086,17 +1079,17 @@ class TestOneStream:
                                                        pass_start):
         A = instances.goe(90, 6).with_block_dim(3)
         gaussians = []
-        draw = stiefel.oc_random_tangent
+        draw = stiefel._random_tangent
 
-        def spy(config, seed):
+        def spy(rows, d, seed):
             # the Gaussian the draw projects, read ahead with the stream put back
             rng = np.random.default_rng(seed)
             state = rng.bit_generator.state
-            gaussians.append(rng.standard_normal(config.rows.shape))
+            gaussians.append(rng.standard_normal(rows.shape))
             rng.bit_generator.state = state
-            return draw(config, rng)
+            return draw(rows, d, rng)
 
-        monkeypatch.setattr(stiefel, "oc_random_tangent", spy)
+        monkeypatch.setattr(stiefel, "_random_tangent", spy)
         start = solver.random_start(A, 6, 4, manifold) if pass_start else None
         rep = solve(A, SolverOptions(k=6, manifold=manifold, seed=4), sigma0=start)
         start_gaussian = np.random.default_rng(4).standard_normal((90, 6))
@@ -1150,6 +1143,24 @@ class TestStartCheck:
         A = instances.goe(60, 1).with_block_dim(3)
         with pytest.raises(ValueError, match="start has k = 6, d = 1; .* d = 3"):
             _ENTRIES[entry](A, SolverOptions(k=6, manifold="stiefel"), random_config(60, 6, 0))
+
+    def test_a_cold_solve_checks_only_its_start_and_its_report(self, monkeypatch):
+        # the curvature searches read the solver's own rows: no checked point
+        # of a searched state and no checked tangent of a search's start
+        A = instances.goe(30, 0)
+        start = solver.random_start(A, 3, 1)
+        points, check_point = [], stiefel._check_point
+
+        def spy(rows, d):
+            points.append(rows.tobytes())
+            check_point(rows, d)
+
+        monkeypatch.setattr(stiefel, "_check_point", spy)
+        tangents = counted(monkeypatch, stiefel, "_check_tangent")
+        rep = solve(A, SolverOptions(k=3, epsilon=0.5, seed=1))
+        assert rep.eigen_steps > 0 and rep.converged
+        assert points == [start.rows.tobytes(), rep.sigma.rows.tobytes()]
+        assert tangents[0] == 0
 
 
 def _scaled_goe(scale, tmp_path):

@@ -97,12 +97,23 @@ class TestSymmetricByConstruction:
         lambda: instances.sbm(200, 12, 4, 0).adjacency,
         lambda: instances.centered_regular(100, 4, 1),
         lambda: instances.erdos_renyi(40, 30.0, 1),  # dense: above the density cutoff
-    ], ids=["er", "regular", "sbm", "sbm-adjacency", "centered-regular", "er-dense"])
+        lambda: instances.goe(300, 3),
+        lambda: instances.spiked(300, 1.5, 2).A,
+    ], ids=["er", "regular", "sbm", "sbm-adjacency", "centered-regular", "er-dense", "goe",
+            "spiked"])
     def test_generators_equal_the_checked_construction(self, make):
         A = make()
         checked = SymmetricMatrix(A._core, shift=A.shift)
         assert checked.shift == A.shift
         assert _same_core(A, checked)
+
+    def test_dense_generators_skip_the_checked_constructor(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the checked constructor ran")
+
+        monkeypatch.setattr(SymmetricMatrix, "__init__", refuse)
+        assert instances.goe(20, 0).n == 20
+        assert instances.spiked(20, 2.0, 0).A.n == 20
 
     def test_loaded_dense_file_equals_the_checked_construction(self, tmp_path):
         A = instances.goe(30, 5).with_block_dim(3)
